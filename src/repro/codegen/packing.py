@@ -6,9 +6,14 @@ emit except the shifts acts on each bit position independently, so one
 pass through the compiled code can evaluate ``word_width`` *different*
 input vectors at once if the inputs are transposed — bit ``j`` of input
 word ``k`` carries the value of primary input ``k`` in vector ``j``.
-This module owns that transposition (packing scalar vectors into lane
-words and unpacking lane words back into scalar outputs) and the
-eligibility analysis that decides when a program may be driven packed.
+This module owns that transposition — :class:`PatternBlock`, which
+holds a batch as one bit plane per input and lays the planes out as
+machine lane words, and the unpacking of lane words back into scalar
+outputs — and the eligibility analysis that decides when a program may
+be driven packed.  No step of it loops over bits in Python: planes are
+built from one ``bytes`` of the batch with stride slices and
+``int(..., 2)``, split into words with ``int.to_bytes`` and ``array``,
+and interleaved into the pass buffer with strided slice assignment.
 
 Eligibility — the shift-free rule
 ---------------------------------
@@ -75,15 +80,19 @@ outputs *and* final state.  The simulator layer
 (:meth:`repro.simbase.CompiledSimulator.apply_vectors`) owns the
 seeding; this module owns the segmentation and eligibility.
 
-All packing entry points validate their words against the program's
-word width and raise :class:`~repro.errors.SimulationError` on overflow
-rather than relying on backend-dependent truncation (ctypes truncates
-silently; Python ints do not truncate at all).
+Caller-supplied lane words are validated against the program's word
+width (:class:`~repro.errors.SimulationError` on overflow) rather than
+left to backend-dependent truncation (ctypes truncates silently; Python
+ints do not truncate at all).  A :class:`PatternBlock`'s words fit by
+construction.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import sys
+from array import array
+from contextlib import nullcontext
+from typing import Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.program import (
@@ -102,6 +111,8 @@ __all__ = [
     "is_shift_free",
     "packing_mode",
     "validate_packed_words",
+    "PatternBlock",
+    "pattern_block",
     "pack_patterns",
     "unpack_patterns",
     "packed_apply",
@@ -187,6 +198,279 @@ def validate_packed_words(
             )
 
 
+#: ``array`` typecode per machine word width (``Q`` wins over ``L``).
+_TYPECODES = {array(code).itemsize * 8: code for code in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+_BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_ASCII_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _place_slot(buffer, slot: int, words, slots: int, tiles: int) -> None:
+    """Write one slot's lane words into a slot-major pass buffer.
+
+    ``words[p*K + t]`` lands at pass ``p``, slot ``slot``, tile ``t``:
+    index ``p*slots*K + slot*K + t`` — the vector layout a machine
+    compiled with ``tiles=K`` consumes.
+    """
+    stride = slots * tiles
+    for t in range(tiles):
+        buffer[slot * tiles + t::stride] = words[t::tiles]
+
+
+class PatternBlock:
+    """``count`` scalar 0/1 vectors as per-input bit planes.
+
+    ``planes[k]`` is an int whose bit ``j`` is input ``k`` of vector
+    ``j``.  A block is also a machine's packed input: ``tiles`` says
+    which K-tile machine it is laid out for, ``groups`` how many lane
+    words each plane is split into (``ceil(count / word_width)``, plus
+    one when :meth:`laid_out` appends the all-zeros fill group), and
+    ``extra`` holds constant words for slots after the planes (every
+    lane, tile and pass alike).  ``len(block)`` is the number of
+    compiled passes, ``ceil(groups / tiles)``.
+
+    :attr:`buffer` is the slot-major pass buffer, an ``array`` of
+    machine words: pass ``p``, slot ``s``, tile ``t`` is word
+    ``p*K + t`` of slot ``s``.  Its words fit the width by
+    construction, so machines take it without per-word validation.
+    """
+
+    __slots__ = (
+        "planes", "count", "word_width", "tiles", "groups", "extra",
+        "_buffer",
+    )
+
+    def __init__(
+        self,
+        planes: list[int],
+        count: int,
+        word_width: int,
+        *,
+        tiles: int = 1,
+        groups: Optional[int] = None,
+        extra: Sequence[int] = (),
+    ) -> None:
+        self.planes = planes
+        self.count = count
+        self.word_width = word_width
+        self.tiles = tiles
+        self.groups = (
+            -(-count // word_width) if groups is None else groups
+        )
+        self.extra = list(extra)
+        self._buffer = None
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[Sequence[int]], word_width: int
+    ) -> Optional["PatternBlock"]:
+        """Transpose 0/1 rows into planes; ``None`` if any value is not 0/1.
+
+        Raises :class:`SimulationError` for ragged rows and for values
+        that are not integers.
+        """
+        count = len(rows)
+        if not count:
+            return cls([], 0, word_width)
+        width = len(rows[0])
+        lengths = list(map(len, rows))
+        if lengths.count(width) != count:
+            index = next(
+                i for i, length in enumerate(lengths) if length != width
+            )
+            raise SimulationError(
+                f"vector {index} has {lengths[index]} values, "
+                f"expected {width}"
+            )
+        try:
+            flat = b"".join(map(bytes, rows))
+            if len(flat) != count * width:
+                # Rows exporting a buffer of wider items (numpy arrays,
+                # ``array``s): ``bytes`` copied their memory, not values.
+                flat = b"".join(bytes(list(row)) for row in rows)
+        except ValueError:  # a value outside 0..255: not a single bit
+            return None
+        except TypeError:
+            raise _bad_value(
+                rows, lambda value: not hasattr(type(value), "__index__"),
+                "is not an integer",
+            ) from None
+        if flat.translate(None, b"\x00\x01"):
+            return None
+        planes = [
+            int(flat[k::width].translate(_BITS_TO_ASCII)[::-1], 2)
+            for k in range(width)
+        ]
+        return cls(planes, count, word_width)
+
+    def laid_out(
+        self, tiles: int = 1, *, fill: bool = False,
+        extra: Sequence[int] = (),
+    ) -> "PatternBlock":
+        """These planes as the input of a K-tile machine.
+
+        ``fill`` appends one all-zeros group after the last real one
+        (see :func:`packed_apply`); ``extra`` appends constant slots.
+        """
+        return PatternBlock(
+            self.planes, self.count, self.word_width, tiles=tiles,
+            groups=-(-self.count // self.word_width) + fill, extra=extra,
+        )
+
+    def __len__(self) -> int:
+        return -(-self.groups // self.tiles)
+
+    @property
+    def slots(self) -> int:
+        return len(self.planes) + len(self.extra)
+
+    @property
+    def typecode(self) -> str:
+        return _TYPECODES[self.word_width]
+
+    def lane_words(self, k: int) -> array:
+        """Plane ``k`` split into lane words, padded to whole passes."""
+        words = array(self.typecode)
+        words.frombytes(self.planes[k].to_bytes(
+            len(self) * self.tiles * self.word_width // 8, "little"
+        ))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return words
+
+    @property
+    def buffer(self) -> array:
+        """The slot-major pass buffer (built on first use)."""
+        if self._buffer is None:
+            code = self.typecode
+            padded = len(self) * self.tiles
+            buffer = array(code, bytes(
+                padded * self.slots * array(code).itemsize
+            ))
+            for k in range(len(self.planes)):
+                _place_slot(
+                    buffer, k, self.lane_words(k), self.slots, self.tiles
+                )
+            self._buffer = buffer
+            for index, word in enumerate(self.extra):
+                self.set_extra(index, word)
+        return self._buffer
+
+    def set_extra(self, index: int, word: int) -> None:
+        """Set constant slot ``index`` in every lane, tile and pass."""
+        self.extra[index] = word
+        words = array(self.typecode, [word]) * (len(self) * self.tiles)
+        _place_slot(
+            self.buffer, len(self.planes) + index, words, self.slots,
+            self.tiles,
+        )
+
+    def split(self) -> list["PatternBlock"]:
+        """One single-pass block per pass, sharing this buffer.
+
+        :meth:`set_extra` on this block shows through every part.
+        """
+        view = memoryview(self.buffer)
+        stride = self.slots * self.tiles
+        lanes = self.word_width * self.tiles
+        lane_mask = (1 << lanes) - 1
+        parts = []
+        for p in range(len(self)):
+            first = p * lanes
+            part = PatternBlock(
+                [(plane >> first) & lane_mask for plane in self.planes],
+                max(0, min(lanes, self.count - first)),
+                self.word_width,
+                tiles=self.tiles,
+                groups=self.tiles,
+            )
+            part.extra = self.extra
+            part._buffer = view[p * stride:(p + 1) * stride]
+            parts.append(part)
+        return parts
+
+    def columns(self, words, num_outputs: int) -> list[int]:
+        """Output planes of a run over this block.
+
+        ``words`` is the flat output of ``run_packed_block`` (an
+        ``array`` of this block's typecode): pass ``p``, output ``o``,
+        tile ``t`` at ``(p*num_outputs + o)*K + t``.  Returns one int
+        per output whose bit ``j`` is that output's word bit of lane
+        ``j`` of the group sequence — so bit ``g*word_width + j`` is
+        lane ``j`` of group ``g``.
+        """
+        tiles = self.tiles
+        stride = num_outputs * tiles
+        planes = []
+        for o in range(num_outputs):
+            if tiles == 1:
+                column = words[o::stride]
+            else:
+                column = array(words.typecode, bytes(
+                    len(self) * tiles * words.itemsize
+                ))
+                for t in range(tiles):
+                    column[t::tiles] = words[o * tiles + t::stride]
+            if _BIG_ENDIAN:
+                column.byteswap()
+            planes.append(int.from_bytes(column, "little"))
+        return planes
+
+
+def _bad_value(rows, is_bad, problem: str) -> SimulationError:
+    """Name the first value of a batch that ``is_bad`` (error path)."""
+    for index, row in enumerate(rows):
+        for k, value in enumerate(row):
+            if is_bad(value):
+                return SimulationError(
+                    f"vector {index}, input {k}: pattern value "
+                    f"{value!r} {problem}"
+                )
+    return SimulationError(f"a pattern value {problem}")
+
+
+def pattern_block(rows, word_width: int) -> PatternBlock:
+    """:meth:`PatternBlock.from_rows`, raising on a value that is not 0/1."""
+    if isinstance(rows, PatternBlock):
+        return rows
+    block = PatternBlock.from_rows(rows, word_width)
+    if block is None:
+        raise _bad_value(
+            rows, lambda value: value not in (0, 1),
+            "is not a single bit (pack one vector per lane, values "
+            "must be 0/1)",
+        )
+    return block
+
+
+def _bit_column(plane: int, count: int) -> bytes:
+    """Bits ``0..count-1`` of ``plane`` as one 0/1 byte per vector."""
+    sentinel = 1 << count
+    text = format(plane & (sentinel - 1) | sentinel, "b")
+    return text[:0:-1].encode().translate(_ASCII_TO_BITS)
+
+
+def _fill_column(bits: bytes, fill: int, typecode: str) -> array:
+    """``fill | bit`` for every 0/1 byte of ``bits``, as machine words."""
+    size = array(typecode).itemsize
+    low = fill & 0xFF
+    raw = bytearray(fill.to_bytes(size, "little") * len(bits))
+    raw[::size] = bits.translate(bytes.maketrans(
+        b"\x00\x01", bytes((low, low | 1))
+    ))
+    column = array(typecode, raw)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column
+
+
+def _rows(columns: list, count: int) -> list[list[int]]:
+    """Per-vector output lists from per-output columns."""
+    if not columns:
+        return [[] for _ in range(count)]
+    return list(map(list, zip(*columns)))
+
+
 def pack_patterns(
     vectors: Sequence[Sequence[int]], word_width: int
 ) -> tuple[list[list[int]], list[int]]:
@@ -200,43 +484,21 @@ def pack_patterns(
     zero, i.e. they simulate the all-zeros vector).
 
     Every vector value must be 0 or 1 — a wider value cannot occupy a
-    single lane — and every vector must have the same length.
+    single lane — and every vector must have the same length.  A
+    list-of-words view of :class:`PatternBlock`.
     """
     with telemetry.span("pack"):
-        return _pack_patterns(vectors, word_width)
-
-
-def _pack_patterns(
-    vectors: Sequence[Sequence[int]], word_width: int
-) -> tuple[list[list[int]], list[int]]:
-    groups: list[list[int]] = []
-    lane_counts: list[int] = []
-    total = len(vectors)
-    if total == 0:
-        return groups, lane_counts
-    num_inputs = len(vectors[0])
-    for start in range(0, total, word_width):
-        chunk = vectors[start:start + word_width]
-        words = [0] * num_inputs
-        for j, vector in enumerate(chunk):
-            if len(vector) != num_inputs:
-                raise SimulationError(
-                    f"vector {start + j} has {len(vector)} values, "
-                    f"expected {num_inputs}"
-                )
-            bit = 1 << j
-            for k, value in enumerate(vector):
-                if value == 1:
-                    words[k] |= bit
-                elif value != 0:
-                    raise SimulationError(
-                        f"vector {start + j}, input {k}: pattern value "
-                        f"{value!r} is not a single bit (pack one "
-                        f"vector per lane, values must be 0/1)"
-                    )
-        groups.append(words)
-        lane_counts.append(len(chunk))
-    return groups, lane_counts
+        block = pattern_block(vectors, word_width)
+        groups = block.groups
+        mask = (1 << word_width) - 1
+        planes = [
+            [(plane >> (g * word_width)) & mask for g in range(groups)]
+            for plane in block.planes
+        ]
+        lane_counts = [word_width] * groups
+        if groups:
+            lane_counts[-1] = block.count - (groups - 1) * word_width
+        return [list(group) for group in zip(*planes)], lane_counts
 
 
 def unpack_patterns(
@@ -249,19 +511,16 @@ def unpack_patterns(
     0/1 output list per original scalar vector, in vector order.
     """
     with telemetry.span("unpack"):
-        return _unpack_patterns(flat, num_outputs, lane_counts)
-
-
-def _unpack_patterns(
-    flat: Sequence[int], num_outputs: int, lane_counts: Sequence[int]
-) -> list[list[int]]:
-    results: list[list[int]] = []
-    for g, lanes in enumerate(lane_counts):
-        base = g * num_outputs
-        words = flat[base:base + num_outputs]
-        for j in range(lanes):
-            results.append([(word >> j) & 1 for word in words])
-    return results
+        count = sum(lane_counts)
+        width = lane_counts[0] if lane_counts else 0
+        planes = [
+            sum(
+                flat[g * num_outputs + o] << (g * width)
+                for g in range(len(lane_counts))
+            )
+            for o in range(num_outputs)
+        ]
+        return _rows([_bit_column(p, count) for p in planes], count)
 
 
 # ----------------------------------------------------------------------
@@ -326,19 +585,18 @@ def tile_groups(
     tile ``t`` at index ``s*K + t`` — the vector layout a machine
     compiled with ``tiles=K`` consumes.  The tail is padded with
     all-zeros groups (they simulate the all-zeros vector and their
-    outputs are never read back).
+    outputs are never read back).  A list-of-words view of the
+    :class:`PatternBlock` layout.
     """
-    rows: list[list[int]] = []
-    for base in range(0, len(groups), tiles):
-        chunk = list(groups[base:base + tiles])
-        while len(chunk) < tiles:
-            chunk.append([0] * num_inputs)
-        rows.append([
-            chunk[t][k]
-            for k in range(num_inputs)
-            for t in range(tiles)
-        ])
-    return rows
+    passes = -(-len(groups) // tiles)
+    padding = [0] * (passes * tiles - len(groups))
+    buffer = array("Q", bytes(8 * passes * num_inputs * tiles))
+    for s in range(num_inputs):
+        words = array("Q", [group[s] for group in groups] + padding)
+        _place_slot(buffer, s, words, num_inputs, tiles)
+    flat = buffer.tolist()
+    stride = num_inputs * tiles
+    return [flat[p * stride:(p + 1) * stride] for p in range(passes)]
 
 
 def lane_segments(total: int, lanes: int) -> list[tuple[int, int]]:
@@ -364,111 +622,74 @@ def lane_segments(total: int, lanes: int) -> list[tuple[int, int]]:
 # ----------------------------------------------------------------------
 # machine drivers
 # ----------------------------------------------------------------------
-def _run_tiled(machine, groups, lane_counts, num_vectors, *, fill=False):
-    """Drive scalar pattern groups through a tiled machine.
+def _run_columns(machine, block: PatternBlock, *, fill: bool) -> list[int]:
+    """Run ``block`` through ``machine``; return its output planes.
 
-    Returns ``(word, emits)`` where ``word(g, o)`` looks up the packed
-    word of scalar group ``g``, output ``o`` in the flat tiled output
-    and ``emits`` is the per-group output count.  With ``fill`` an
-    all-zeros group is appended first (the :func:`packed_apply`
-    reconstruction source) and its index is returned third.
+    With ``fill`` an all-zeros group follows the real ones, so bit
+    ``groups*word_width`` of each plane is the all-zeros vector's
+    output (the :func:`packed_apply` reconstruction source).
     """
     tiles = machine.tiles
-    num_inputs = len(groups[0])
-    fill_index = None
-    if fill:
-        groups = list(groups) + [[0] * num_inputs]
-        fill_index = len(groups) - 1
-    rows = tile_groups(groups, num_inputs, tiles)
-    flat: list[int] = []
-    with telemetry.span("pack.tile", tiles=tiles):
-        machine.run_packed_block(
-            rows, flat, vectors_represented=num_vectors
-        )
-    if telemetry.enabled():
+    run = block.laid_out(tiles, fill=fill)
+    flat = array(run.typecode)
+    with (telemetry.span("pack.tile", tiles=tiles) if tiles > 1
+          else nullcontext()):
+        machine.run_packed_block(run, flat, vectors_represented=block.count)
+    if tiles > 1 and telemetry.enabled():
         telemetry.counter("pack.tile.batches")
-        telemetry.counter("pack.tile.vectors", num_vectors)
-    emits = machine.num_outputs // tiles
-
-    def word(g: int, o: int) -> int:
-        p, t = divmod(g, tiles)
-        return flat[(p * emits + o) * tiles + t]
-
-    return word, emits, fill_index
+        telemetry.counter("pack.tile.vectors", block.count)
+    return run.columns(flat, machine.num_outputs // tiles)
 
 
-def packed_bits(machine, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+def packed_bits(machine, vectors) -> list[list[int]]:
     """Run ``vectors`` pattern-packed; return per-vector output *bits*.
 
-    One compiled pass per ``word_width`` vectors.  Each returned list
-    holds the low bit of every emitted output word — the logical values
-    a scalar pass would produce in lane 0.  The caller is responsible
-    for eligibility (``packing_mode`` full, or settled with final-value
-    outputs only).
+    ``vectors`` is a :class:`PatternBlock` or a list of 0/1 rows.  One
+    compiled pass per ``word_width * tiles`` vectors.  Each returned
+    list holds the low bit of every emitted output word — the logical
+    values a scalar pass would produce in lane 0.  The caller is
+    responsible for eligibility (``packing_mode`` full, or settled with
+    final-value outputs only).
     """
-    width = machine.program.word_width
-    groups, lane_counts = pack_patterns(vectors, width)
-    if not groups:
+    block = pattern_block(vectors, machine.program.word_width)
+    if not block.count:
         return []
-    if getattr(machine, "tiles", 1) > 1:
-        word, emits, _fill = _run_tiled(
-            machine, groups, lane_counts, len(vectors)
-        )
-        with telemetry.span("unpack"):
-            return [
-                [(word(g, o) >> j) & 1 for o in range(emits)]
-                for g, lanes in enumerate(lane_counts)
-                for j in range(lanes)
-            ]
-    flat: list[int] = []
-    machine.run_packed_block(groups, flat, vectors_represented=len(vectors))
-    return unpack_patterns(flat, machine.num_outputs, lane_counts)
+    planes = _run_columns(machine, block, fill=False)
+    with telemetry.span("unpack"):
+        count = block.count
+        return _rows([_bit_column(p, count) for p in planes], count)
 
 
-def packed_apply(machine, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+def packed_apply(machine, vectors) -> list[list[int]]:
     """Run ``vectors`` packed; return *scalar-identical* raw output words.
 
-    Requires a ``"full"``-mode program.  A scalar pass on vector ``v``
-    feeds input words with bit 0 = the input's value and all higher
-    bits 0 — exactly a packed pass over lanes ``[v, 0, 0, ...]``.  So
-    the raw word a scalar pass emits is the packed lane-``j`` bit in
-    bit 0 plus the all-zeros vector's emitted word in the high bits.
-    One extra all-zeros group appended to the batch supplies that fill
-    word, making the reconstruction exact for every word width and
-    backend.
+    Requires a ``"full"``-mode program; ``vectors`` is a
+    :class:`PatternBlock` or a list of 0/1 rows.  A scalar pass on
+    vector ``v`` feeds input words with bit 0 = the input's value and
+    all higher bits 0 — exactly a packed pass over lanes
+    ``[v, 0, 0, ...]``.  So the raw word a scalar pass emits is the
+    packed lane-``j`` bit in bit 0 plus the all-zeros vector's emitted
+    word in the high bits.  One extra all-zeros group appended to the
+    batch supplies that fill word: every lane of the group emits the
+    same bit, so each output's fill is that bit replicated over the
+    high bits, applied to the whole output column at once.
     """
-    width = machine.program.word_width
-    groups, lane_counts = pack_patterns(vectors, width)
-    if not groups:
+    program = machine.program
+    block = pattern_block(vectors, program.word_width)
+    if not block.count:
         return []
-    mask = machine.program.word_mask
-    high = mask ^ 1
-    if getattr(machine, "tiles", 1) > 1:
-        word, emits, fill_index = _run_tiled(
-            machine, groups, lane_counts, len(vectors), fill=True
-        )
-        fill = [word(fill_index, o) for o in range(emits)]
-        with telemetry.span("unpack"):
-            return [
-                [
-                    ((word(g, o) >> j) & 1) | (fill[o] & high)
-                    for o in range(emits)
-                ]
-                for g, lanes in enumerate(lane_counts)
-                for j in range(lanes)
-            ]
-    num_inputs = len(groups[0])
-    groups.append([0] * num_inputs)  # fill group: every lane all-zeros
-    flat: list[int] = []
-    machine.run_packed_block(groups, flat, vectors_represented=len(vectors))
-    n = machine.num_outputs
-    fill = flat[len(lane_counts) * n:]
-    results: list[list[int]] = []
-    for g, lanes in enumerate(lane_counts):
-        words = flat[g * n:(g + 1) * n]
-        for j in range(lanes):
-            results.append([
-                ((word >> j) & 1) | (fill[o] & high)
-                for o, word in enumerate(words)
-            ])
-    return results
+    planes = _run_columns(machine, block, fill=True)
+    with telemetry.span("unpack"):
+        count = block.count
+        high = program.word_mask ^ 1
+        # Lane 0 of the fill group, right after the real groups.
+        width = block.word_width
+        zeros_bit = -(-count // width) * width
+        columns = []
+        for plane in planes:
+            bits = _bit_column(plane, count)
+            if (plane >> zeros_bit) & 1:
+                columns.append(_fill_column(bits, high, block.typecode))
+            else:
+                columns.append(bits)
+        return _rows(columns, count)

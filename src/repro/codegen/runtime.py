@@ -30,12 +30,13 @@ generated ``run_block`` routine each backend compiles in:
 - ``step_many(vectors)`` returns per-vector output lists, bit-identical
   to an equivalent per-vector ``step()`` loop.
 - ``run_packed_block(groups, out=None)`` drives *pattern-packed*
-  groups — per-input lane words carrying up to ``word_width`` scalar
-  vectors each (see :mod:`repro.codegen.packing`) — through the
-  generated packed entry point (Python opcode 4, C
-  ``run_packed_block``).  Packed words are validated against the word
-  width up front (silent ctypes truncation would corrupt whole lanes,
-  not just one vector).
+  passes — per-input lane words carrying up to ``word_width`` scalar
+  vectors each, as a :class:`~repro.codegen.packing.PatternBlock` or
+  a list of rows — through the generated packed entry point (Python
+  opcode 4, C ``run_packed_block``).  Row words are validated against
+  the word width up front (silent ctypes truncation would corrupt
+  whole lanes, not just one vector); a block's words fit by
+  construction and reach the C library without a copy.
 
 Every batch updates ``machine.counters`` (vectors run, wall time,
 vectors/second) so harness and benchmark reports can quote throughput
@@ -69,11 +70,12 @@ import tempfile
 import time
 import uuid
 import weakref
+from array import array
 from collections import OrderedDict
 from typing import Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.packing import validate_packed_words
+from repro.codegen.packing import PatternBlock, validate_packed_words
 from repro.codegen.program import Program
 from repro.errors import BackendError
 
@@ -468,25 +470,48 @@ class Machine:
     ) -> Optional[list[int]]:
         """Run pattern-packed groups inside the generated code.
 
-        Each group is a list of ``num_inputs`` lane words (bit ``j`` of
-        word ``k`` = input ``k`` of packed vector ``j``); emitted packed
-        words are appended flat to ``out`` in group order.  Every word
-        is validated against the word width (:class:`SimulationError`
+        ``groups`` is a :class:`~repro.codegen.packing.PatternBlock`
+        laid out for this machine's tiles, or a list of pass rows of
+        ``num_inputs`` lane words each (bit ``j`` of word ``k`` = input
+        ``k`` of packed vector ``j``).  Emitted packed words are
+        appended flat to ``out`` in pass order.  Caller-supplied rows
+        are validated against the word width (:class:`SimulationError`
         on overflow) — an oversized lane word would silently corrupt
-        every lane on the C backend.  ``vectors_represented`` is what
-        the throughput counters record (default: full groups,
-        ``len(groups) * word_width``).
+        every lane on the C backend; a block's words fit by
+        construction.  ``vectors_represented`` is what the throughput
+        counters record (default: the block's vector count, or full
+        rows, ``len(groups) * word_width * tiles``).
         """
         raise NotImplementedError
 
     def _packed_count(
         self,
-        groups: Sequence[Sequence[int]],
+        groups,
         vectors_represented: Optional[int],
     ) -> int:
         if vectors_represented is not None:
             return vectors_represented
+        if isinstance(groups, PatternBlock):
+            return groups.count
         return len(groups) * self.program.word_width * self.tiles
+
+    def _check_block(self, block: PatternBlock) -> None:
+        """A block must be laid out for exactly this machine.
+
+        An empty block (no passes) fits every machine: with no rows it
+        cannot know the input count.
+        """
+        if len(block) and (
+                block.tiles != self.tiles
+                or block.word_width != self.program.word_width
+                or block.slots * block.tiles != self.num_inputs):
+            raise BackendError(
+                f"pattern block of {block.slots} slots x {block.tiles} "
+                f"tiles at word_width={block.word_width} does not fit a "
+                f"machine of {self.num_inputs} input words x "
+                f"{self.tiles} tiles at "
+                f"word_width={self.program.word_width}"
+            )
 
     def _validate_group(self, index: int, group: Sequence[int]) -> None:
         if len(group) != self.num_inputs:
@@ -528,6 +553,11 @@ class Machine:
         raise NotImplementedError
 
     def load_state(self, values: Sequence[int]) -> None:
+        """Load every persistent word (masked to the word width).
+
+        An ``array`` of machine-sized words needs no masking; the C
+        backend hands it to the library without a copy.
+        """
         raise NotImplementedError
 
     def state_dict(self) -> dict[str, int]:
@@ -618,15 +648,22 @@ class PythonMachine(Machine):
         *,
         vectors_represented: Optional[int] = None,
     ) -> Optional[list[int]]:
-        for index, group in enumerate(groups):
-            self._validate_group(index, group)
+        count = self._packed_count(groups, vectors_represented)
+        if isinstance(groups, PatternBlock):
+            self._check_block(groups)
+            words = groups.buffer.tolist()
+            stride = self.num_inputs
+            groups = [
+                words[p * stride:(p + 1) * stride]
+                for p in range(len(groups))
+            ]
+        else:
+            for index, group in enumerate(groups):
+                self._validate_group(index, group)
         sink = [] if out is None else out
         start = time.perf_counter()
         self._gen.send((4, groups, sink))
-        self._record_batch(
-            self._packed_count(groups, vectors_represented),
-            time.perf_counter() - start,
-        )
+        self._record_batch(count, time.perf_counter() - start)
         return out
 
     def dump_state(self) -> list[int]:
@@ -828,7 +865,7 @@ class CMachine(Machine):
         self._entry["step"](buf, self._out_buffer)
         return list(self._out_buffer[: self._num_outputs])
 
-    def pack_block(self, vectors: Sequence[Sequence[int]]):
+    def pack_block(self, vectors):
         """Marshal a vector batch into one contiguous C buffer.
 
         Do this once outside the timed region; the generated
@@ -838,8 +875,14 @@ class CMachine(Machine):
 
         Every vector must have exactly ``num_inputs`` words: a
         mismatched vector would silently overrun into (or underfill)
-        the next vector's slot.
+        the next vector's slot.  A
+        :class:`~repro.codegen.packing.PatternBlock` is not copied:
+        the returned array shares the block's pass buffer.
         """
+        if isinstance(vectors, PatternBlock):
+            self._check_block(vectors)
+            buffer = vectors.buffer
+            return (self._word * len(buffer)).from_buffer(buffer)
         width = self.num_inputs
         count = max(1, len(vectors))
         flat = (self._word * (max(1, width) * count))()
@@ -899,8 +942,9 @@ class CMachine(Machine):
         *,
         vectors_represented: Optional[int] = None,
     ) -> Optional[list[int]]:
-        for index, group in enumerate(groups):
-            self._validate_group(index, group)
+        if not isinstance(groups, PatternBlock):
+            for index, group in enumerate(groups):
+                self._validate_group(index, group)
         buffer = self.pack_block(groups)
         count = self._packed_count(groups, vectors_represented)
         start = time.perf_counter()
@@ -925,6 +969,14 @@ class CMachine(Machine):
             raise BackendError(
                 f"state has {self.num_state} words, got {len(values)}"
             )
+        if isinstance(values, array) and (
+            values.itemsize == ctypes.sizeof(self._word)
+        ):
+            # Machine words already: the width bounds every value.
+            self._entry["load_state"](
+                (self._word * len(values)).from_buffer(values)
+            )
+            return
         mask = self.program.word_mask
         buf = self._state_buffer
         for i, value in enumerate(values):

@@ -53,10 +53,16 @@ for them and ``"auto"`` falls back to the scalar lane loop.
 
 from __future__ import annotations
 
+from array import array
 from typing import Mapping, Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.packing import is_shift_free, pack_patterns, select_tiles
+from repro.codegen.packing import (
+    PatternBlock,
+    is_shift_free,
+    pattern_block,
+    select_tiles,
+)
 from repro.codegen.probes import ProbeSpec
 from repro.codegen.program import Assign, Bin, Emit, Input, Program, Var
 from repro.codegen.runtime import compile_program
@@ -241,15 +247,15 @@ class ParallelFaultSimulator:
         #: (instrument="all" only; K=1 lives in ``_all_machine``).
         self._all_tiled: dict = {}
         self._all_nets = sorted(circuit.nets)
-        # Packed-mode good-pre-pass memo: (groups, goods).  The good
-        # words depend only on the circuit, word width and vectors (the
+        # Packed-mode good-pre-pass memo: ((count, planes), goods).  The
+        # good words depend only on the circuit, word width and vectors (the
         # unfaulted splices are identities whichever machine runs
         # them), so repeated run() calls over the same vectors — the
         # sharded grading shape — reuse them instead of re-running the
         # pre-pass per shard.  ``goods`` is normalized to per-group
         # layout (group-major, one word per monitored output), so the
         # memo is valid across tile counts.
-        self._goods_memo: Optional[tuple[list[list[int]], list[int]]] = None
+        self._goods_memo: Optional[tuple[tuple, list[int]]] = None
         # The instrumentation only splices in &/| masking statements, so
         # pattern-packing eligibility is decided by the base program.
         self._pack_eligible = (
@@ -521,11 +527,15 @@ class ParallelFaultSimulator:
             self.patterns == "auto" and self._pack_eligible
         )
         if packed:
-            groups, lane_counts = pack_patterns(
-                [[v & 1 for v in vector] for vector in vectors],
-                self.word_width,
-            )
-            tiles = self._packed_tiles(len(groups))
+            block = PatternBlock.from_rows(vectors, self.word_width)
+            if block is None:
+                # Multi-bit words grade on their low bits, as in the
+                # scalar lane loop.
+                block = pattern_block(
+                    [[v & 1 for v in vector] for vector in vectors],
+                    self.word_width,
+                )
+            tiles = self._packed_tiles(block.groups)
             if tiles > 1 and telemetry.enabled():
                 telemetry.counter("pack.tile.batches")
                 telemetry.counter("pack.tile.vectors", len(vectors))
@@ -537,17 +547,21 @@ class ParallelFaultSimulator:
             # mode does per batch.  For input-driven nets the load is
             # scratch (overwritten every pass), so any settled state
             # gives the same — serial-identical — finals.
-            state_words = [
+            # Marshalled once per run, tile-minor like every state dump.
+            state = array(block.typecode, [
                 (-(settled[net_name] & 1)) & mask
                 for net_name, _t, _i in self.variables.ordered
-            ]
+                for _tile in range(tiles)
+            ])
             # The good words are fault-independent (every mask input is
             # all-ones, so the splices are identities) — computed once,
             # shared by every batch whichever machine it compiles, and
             # memoized across run() calls over the same vectors.
             goods: Optional[list[int]] = None
-            if self._goods_memo is not None and self._goods_memo[0] == groups:
-                goods = self._goods_memo[1]
+            memo_key = (block.count, block.planes)
+            memo = self._goods_memo
+            if memo is not None and memo[0] == memo_key:
+                goods = memo[1]
 
         detected: dict[Fault, int] = {}
         undetected: list[Fault] = []
@@ -555,8 +569,7 @@ class ParallelFaultSimulator:
             batch = list(faults[start:start + self.lanes_per_batch])
             if packed:
                 outcome, goods = self._run_batch_packed(
-                    batch, groups, lane_counts, mask, goods, state_words,
-                    tiles,
+                    batch, block, mask, goods, state, tiles
                 )
             else:
                 with telemetry.span("fault.screen"):
@@ -570,7 +583,7 @@ class ParallelFaultSimulator:
                 else:
                     detected[fault] = first
         if packed and goods is not None:
-            self._goods_memo = (groups, goods)
+            self._goods_memo = (memo_key, goods)
         return FaultReport(detected, undetected, len(vectors))
 
     def _run_batch(
@@ -651,11 +664,10 @@ class ParallelFaultSimulator:
     def _run_batch_packed(
         self,
         batch: list[Fault],
-        groups: list[list[int]],
-        lane_counts: list[int],
+        block: PatternBlock,
         mask: int,
         goods: Optional[list[int]],
-        state_words: list[int],
+        state: array,
         tiles: int,
     ) -> tuple[list[Optional[int]], list[int]]:
         """First detections for a fault batch, patterns in the lanes.
@@ -663,135 +675,95 @@ class ParallelFaultSimulator:
         Input-driven finals depend on the current lane inputs alone
         (the circuit is acyclic and the fault is pinned at every
         write), so no warm-up pass is needed.  Constant-cone finals
-        live in state variables instead; ``state_words`` (the
-        replicated good steady state) is reloaded before every scan so
-        a fault pinned on a constant net cannot leak into the next
+        live in state variables instead; ``state`` (the replicated good
+        steady state, as machine words) is reloaded before every scan
+        so a fault pinned on a constant net cannot leak into the next
         fault's comparison.
 
-        With ``tiles=K`` each compiled pass carries K consecutive
-        pattern groups (tile ``t`` of output slot ``o`` sits at
-        ``o*K + t``); the scan walks tiles in group order, so the
-        first detecting group — and within it the lowest detecting
-        lane — is found exactly as in the one-group-per-pass loop.
+        The pass buffer — pattern planes plus the fault mask/value
+        slots, all-ones masks and zero values — is laid out once per
+        batch; each screen patches only its own fault's two slots and
+        restores them afterwards.  With ``tiles=K`` each compiled pass
+        carries K consecutive pattern groups (tile ``t`` of output slot
+        ``o`` sits at ``o*K + t``); the scan walks tiles in group
+        order, so the first detecting group — and within it the lowest
+        detecting lane — is found exactly as in the one-group-per-pass
+        loop.
         """
         faulted_nets = sorted({fault.net for fault in batch})
         machine, nets, _slots = self._machine_for(faulted_nets, tiles)
+        run = block.laid_out(
+            tiles, extra=[mask] * len(nets) + [0] * len(nets)
+        )
         if goods is None:
             with telemetry.span("fault.good"):
-                goods = self._good_packed(
-                    machine, nets, groups, lane_counts, state_words, tiles
-                )
+                goods = self._good_packed(machine, run, state)
+        passes = run.split()
+        slot_of = {net: k for k, net in enumerate(nets)}
         n_out = machine.num_outputs // tiles
-        tiled_state = (
-            state_words if tiles == 1
-            else [word for word in state_words for _ in range(tiles)]
-        )
+        width = self.word_width
         first_detection: list[Optional[int]] = []
         for fault in batch:
             with telemetry.span("fault.screen"):
                 # Pin the fault in *every* lane: FMASK drops to zero
                 # and FVAL replicates the stuck value across the word.
-                extra = [0 if n == fault.net else mask for n in nets] + [
-                    (mask if fault.value else 0) if n == fault.net else 0
-                    for n in nets
-                ]
-                machine.load_state(tiled_state)
+                mask_slot = slot_of[fault.net]
+                value_slot = len(nets) + mask_slot
+                run.set_extra(mask_slot, 0)
+                run.set_extra(value_slot, mask if fault.value else 0)
+                machine.load_state(state)
                 first: Optional[int] = None
-                for base in range(0, len(groups), tiles):
-                    count = min(tiles, len(groups) - base)
+                for p, part in enumerate(passes):
                     out: list[int] = []
                     machine.run_packed_block(
-                        [self._tiled_row(groups, base, tiles, extra)],
-                        out,
-                        vectors_represented=sum(
-                            lane_counts[base:base + count]
-                        ),
+                        part, out, vectors_represented=part.count
                     )
-                    for t in range(count):
+                    base = p * tiles
+                    for t in range(min(tiles, block.groups - base)):
                         g = base + t
                         diff = 0
                         for o in range(n_out):
                             diff |= (
                                 out[o * tiles + t] ^ goods[g * n_out + o]
                             )
-                        lanes = lane_counts[g]
+                        lanes = min(width, block.count - g * width)
                         diff &= (
-                            mask if lanes == self.word_width
-                            else (1 << lanes) - 1
+                            mask if lanes == width else (1 << lanes) - 1
                         )
                         if diff:
                             lowest = (diff & -diff).bit_length() - 1
-                            first = g * self.word_width + lowest
+                            first = g * width + lowest
                             break
                     if first is not None:
                         break
+                run.set_extra(mask_slot, mask)
+                run.set_extra(value_slot, 0)
                 first_detection.append(first)
         return first_detection, goods
 
-    def _tiled_row(
-        self,
-        groups: list[list[int]],
-        base: int,
-        tiles: int,
-        extra: list[int],
-    ) -> list[int]:
-        """One slot-major pass row: groups ``base..base+K-1`` + extras.
-
-        Pattern slot ``s`` tile ``t`` carries group ``base+t``'s word;
-        the fault mask/value slots are replicated across tiles (the
-        same fault is pinned in every tile).  Short tails pad with
-        all-zeros groups whose outputs the scan never reads.
-        """
-        if tiles == 1:
-            return list(groups[base]) + extra
-        num_inputs = len(self._base.inputs)
-        row: list[int] = []
-        for s in range(num_inputs):
-            for t in range(tiles):
-                g = base + t
-                row.append(groups[g][s] if g < len(groups) else 0)
-        for word in extra:
-            row.extend([word] * tiles)
-        return row
-
     def _good_packed(
-        self,
-        machine,
-        nets: list[str],
-        groups: list[list[int]],
-        lane_counts: list[int],
-        state_words: list[int],
-        tiles: int = 1,
+        self, machine, run: PatternBlock, state: array
     ) -> list[int]:
         """Good-machine pre-pass: output words in per-group layout.
 
-        All-ones masks and zero values leave every lane unfaulted, so
-        these are the fault-free settled outputs of every pattern.
-        Tiled passes are de-interleaved back to group-major order
-        (``goods[g * n_out + o]``) so detection scans — and the
-        cross-run memo — are independent of the tile count.
+        ``run`` carries all-ones masks and zero values, leaving every
+        lane unfaulted, so these are the fault-free settled outputs of
+        every pattern.  Tiled passes are de-interleaved back to
+        group-major order (``goods[g * n_out + o]``) so detection scans
+        — and the cross-run memo — are independent of the tile count.
         """
-        mask = (1 << self.word_width) - 1
-        extra = [mask] * len(nets) + [0] * len(nets)
         flat: list[int] = []
-        if groups:
-            machine.load_state(
-                state_words if tiles == 1
-                else [word for word in state_words for _ in range(tiles)]
-            )
+        if run.count:
+            machine.load_state(state)
             machine.run_packed_block(
-                [
-                    self._tiled_row(groups, base, tiles, extra)
-                    for base in range(0, len(groups), tiles)
-                ],
-                flat,
-                vectors_represented=sum(lane_counts),
+                run, flat, vectors_represented=run.count
             )
+        tiles = run.tiles
         if tiles == 1:
             return flat
         n_out = machine.num_outputs // tiles
         goods: list[int] = []
-        for g in range(len(groups)):
+        for g in range(run.groups):
             pass_index, t = divmod(g, tiles)
             base = pass_index * n_out * tiles
             goods.extend(

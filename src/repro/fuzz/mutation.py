@@ -100,50 +100,34 @@ def inject_partition_bug():
         PartitionedSimulator._run_segment = descriptor
 
 
-#: Modules that bind ``tile_groups`` by name at import time.
-_TILE_PATCH_SITES = ("repro.codegen.packing", "repro.lcc.zerodelay")
-
-
 @contextmanager
 def inject_tile_bug():
     """Context manager: corrupt the K-tile slot-major input layout.
 
     A machine compiled with ``tiles=K`` consumes pass rows with input
     slot ``s`` tile ``t`` at index ``s*K + t``; the injected bug
-    interleaves them group-major (``t*num_inputs + s``) instead — the
-    classic tile-boundary transposition.  Any tiled pass over a
-    circuit with more than one input computes with the wrong words, so
-    the campaign's tiled packed checks must disagree with the untiled
-    reference.  Self-test only.
+    interleaves them group-major (``t*slots + s``) instead — the
+    classic tile-boundary transposition.  The patched site is
+    :func:`repro.codegen.packing._place_slot`, which every packed
+    layout goes through (pattern blocks, their constant fault slots,
+    ``tile_groups``).  Any tiled pass over a circuit with more than one
+    input computes with the wrong words, so the campaign's tiled
+    packed checks must disagree with the untiled reference.  Self-test
+    only.
     """
-    import importlib
+    from repro.codegen import packing
 
-    from repro.codegen.packing import tile_groups as real_tile_groups
+    def buggy_place_slot(buffer, slot, words, slots, tiles):
+        stride = slots * tiles
+        for t in range(tiles):
+            buffer[t * slots + slot::stride] = words[t::tiles]
 
-    def buggy_tile_groups(groups, num_inputs, tiles):
-        rows = []
-        for base in range(0, len(groups), tiles):
-            chunk = list(groups[base:base + tiles])
-            while len(chunk) < tiles:
-                chunk.append([0] * num_inputs)
-            rows.append([
-                chunk[t][k]
-                for t in range(tiles)
-                for k in range(num_inputs)
-            ])
-        return rows
-
-    modules = [
-        importlib.import_module(name) for name in _TILE_PATCH_SITES
-    ]
-    saved = [module.tile_groups for module in modules]
-    for module in modules:
-        module.tile_groups = buggy_tile_groups
+    original = packing._place_slot
+    packing._place_slot = buggy_place_slot
     try:
-        yield "tile_groups emits group-major rows (transposed layout)"
+        yield "pattern layout emits group-major rows (transposed layout)"
     finally:
-        for module, original in zip(modules, saved):
-            module.tile_groups = original
+        packing._place_slot = original
 
 
 #: ``inject_slowdown`` patch points: (backend, path) -> machine methods.

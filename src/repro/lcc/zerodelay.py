@@ -12,19 +12,21 @@ bit-parallelism, reproduced here for the §5 "1/23" comparison.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping
+from typing import Optional, Sequence
 
 from repro import telemetry
 from repro.analysis.levelize import levelize
 from repro.codegen.gates import gate_expression
 from repro.codegen.naming import NameAllocator
 from repro.codegen.packing import (
+    PatternBlock,
     pack_patterns,
     packed_apply,
     packed_bits,
     packing_mode,
+    pattern_block,
     select_tiles,
-    tile_groups,
     validate_packed_words,
 )
 from repro.codegen.probes import (
@@ -242,8 +244,10 @@ class LCCSimulator:
             return self.machine
         return self._tiled_machine(tiles)
 
-    def _packable(self, words: list[list[int]]) -> bool:
-        """May this batch take the packed path?
+    def _pattern_block(
+        self, words: list[list[int]]
+    ) -> Optional[PatternBlock]:
+        """The batch as a pattern block, or ``None`` to run it scalar.
 
         ``apply_vectors`` accepts multi-bit words too (the classic
         packed-input mode of :meth:`evaluate_packed`); those already
@@ -255,17 +259,15 @@ class LCCSimulator:
                     f"packed=True but program mode is "
                     f"{self.packing_mode!r}"
                 )
-            return False
+            return None
         if not self._inputs:
-            return False
-        eligible = all(
-            value in (0, 1) for word in words for value in word
-        )
-        if not eligible and self.packed is True:
+            return None
+        block = PatternBlock.from_rows(words, self.word_width)
+        if block is None and self.packed is True:
             raise SimulationError(
                 "packed=True requires plain 0/1 vectors (one lane each)"
             )
-        return eligible
+        return block
 
     def _probe_words(self, words: list[list[int]]) -> list[list[int]]:
         """Validate 0/1 vectors; append the ``__probe_en`` occupancy 1."""
@@ -353,6 +355,28 @@ class LCCSimulator:
             )
         return values
 
+    def _vector_lists(
+        self, vectors: Sequence[Mapping[str, int] | Sequence[int]]
+    ) -> list[list[int]]:
+        """:meth:`_vector_list` per vector; lists of the right length
+        pass through uncopied (nothing downstream mutates them)."""
+        width = len(self._inputs)
+        try:
+            return [
+                vector if type(vector) is list and len(vector) == width
+                else self._vector_list(vector)
+                for vector in vectors
+            ]
+        except SimulationError:
+            for index, vector in enumerate(vectors):
+                try:
+                    self._vector_list(vector)
+                except SimulationError as exc:
+                    raise SimulationError(
+                        f"batch vector {index}: {exc}"
+                    ) from None
+            raise
+
     def apply_vectors(
         self, vectors: Sequence[Mapping[str, int] | Sequence[int]]
     ) -> list[list[int]]:
@@ -366,12 +390,13 @@ class LCCSimulator:
         """
         if self.partitioned is not None:
             return self.partitioned.apply_vectors(vectors)
-        words = [self._vector_list(vector) for vector in vectors]
+        words = self._vector_lists(vectors)
         if self._probe_runtime is not None:
             return self._probed_batch(words)
-        if self._packable(words):
+        block = self._pattern_block(words)
+        if block is not None:
             telemetry.counter("packing.packed_batches")
-            return packed_apply(self._packed_machine(len(words)), words)
+            return packed_apply(self._packed_machine(len(words)), block)
         telemetry.counter("packing.fallback.scalar")
         return self.machine.step_many(words)
 
@@ -388,7 +413,7 @@ class LCCSimulator:
         assert runtime is not None
         if not words:
             return []
-        packable = self._packable(words)
+        packable = self._pattern_block(words) is not None
         en_words = self._probe_words(words)
         telemetry.counter(
             "packing.packed_batches" if packable
@@ -434,14 +459,14 @@ class LCCSimulator:
         """
         if self.partitioned is not None:
             return self.partitioned.run_batch(vectors)
-        words = [self._vector_list(vector) for vector in vectors]
+        words = self._vector_lists(vectors)
         if self._probe_runtime is not None:
             rows = self._probed_batch(words)
-        elif self._packable(words):
+        elif (block := self._pattern_block(words)) is not None:
             telemetry.counter("packing.packed_batches")
             # packed_bits drives scalar or tiled machines uniformly and
             # returns exactly the bit-0 values the fold consumes.
-            rows = packed_bits(self._packed_machine(len(words)), words)
+            rows = packed_bits(self._packed_machine(len(words)), block)
         else:
             telemetry.counter("packing.fallback.scalar")
             rows = self.machine.step_many(words)
@@ -464,7 +489,7 @@ class LCCSimulator:
         buffer; on the Python backend a pre-marshalled word list.
         """
         with telemetry.span("pack"):
-            words = [self._vector_list(vector) for vector in vectors]
+            words = self._vector_lists(vectors)
             if self._probe_runtime is not None:
                 rows = self._probe_words(words)
                 return (
@@ -515,7 +540,7 @@ class LCCSimulator:
         Raises :class:`SimulationError` when the batch is not packable
         (the caller asked for the packed configuration explicitly).
         """
-        words = [self._vector_list(vector) for vector in vectors]
+        words = self._vector_lists(vectors)
         if self.packing_mode != "full" or not self._inputs:
             raise SimulationError(
                 f"program {self.program.name!r} is not pattern-packable "
@@ -539,18 +564,16 @@ class LCCSimulator:
                 ),
                 True,
             )
-        groups, _lane_counts = pack_patterns(words, self.word_width)
         machine = self._packed_machine(len(words))
-        if machine.tiles > 1:
-            groups = tile_groups(
-                groups, len(self._inputs), machine.tiles
-            )
+        block = pattern_block(words, self.word_width).laid_out(
+            machine.tiles
+        )
         if isinstance(machine, CMachine):
             return (
-                "c", machine.pack_block(groups), len(groups),
+                "c", machine.pack_block(block), len(block),
                 len(words), machine,
             )
-        return ("py", groups, len(groups), len(words), machine)
+        return ("py", block, len(block), len(words), machine)
 
     def run_prepared(self, prepared) -> None:
         """Run a batch from :meth:`prepare_batch`/:meth:`prepare_packed`.

@@ -10,7 +10,8 @@ only the program generation and the state encoding/decoding.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from collections.abc import Mapping
+from typing import Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.packing import (

@@ -8,19 +8,24 @@ settled-observer boundary for stateful (PC-set) programs.  Shifted
 programs must fall back with no behavior change.
 """
 
+from array import array
+
 import pytest
 
 from repro.codegen.packing import (
+    PatternBlock,
     pack_patterns,
     packed_apply,
+    packed_bits,
     packing_mode,
     unpack_patterns,
     validate_packed_words,
 )
 from repro.codegen.program import Assign, Bin, Emit, Input, Program, Var
-from repro.codegen.runtime import compile_program, have_c_compiler
+from repro.codegen.runtime import CMachine, compile_program, have_c_compiler
 from repro.errors import BackendError, SimulationError
 from repro.eventsim.zerodelay import ZeroDelaySimulator
+from repro.faults.simulator import ParallelFaultSimulator
 from repro.harness.runner import run_technique, simulate_outputs
 from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator, generate_lcc_program
@@ -306,3 +311,217 @@ class TestHarnessThreading:
         sim.run_prepared(prepared)
         assert sim.machine.counters.vectors == 20
         assert sim.machine.counters.batches == 1
+
+
+# ----------------------------------------------------------------------
+# bit-plane pattern blocks
+# ----------------------------------------------------------------------
+TILES = (1, 3, 8)
+
+
+def _batch_sizes(width):
+    # Empty, single, one short of / exactly / one past a lane word,
+    # and a count that is not a multiple of 8.
+    return (0, 1, width - 1, width, width + 1, 2 * width + 3)
+
+
+def _rows_of_kind(circuit, rows, kind):
+    if kind == "list":
+        return [list(row) for row in rows]
+    if kind == "tuple":
+        return [tuple(row) for row in rows]
+    if kind == "bool":
+        return [[bool(value) for value in row] for row in rows]
+    return [dict(zip(circuit.inputs, row)) for row in rows]
+
+
+class TestPatternBlockPath:
+    """The block path emits the words per-vector ``machine.step`` does."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("tiles", TILES)
+    def test_tiled_machine_matches_step(self, backend, width, tiles):
+        circuit = random_dag_circuit(
+            num_inputs=7, num_gates=40, seed=width + tiles
+        )
+        program = generate_lcc_program(circuit, word_width=width)
+        scalar = compile_program(program, backend)
+        machine = compile_program(program, backend, tiles=tiles)
+        for size in _batch_sizes(width):
+            rows = vectors_for(circuit, size, seed=size)
+            expected = [scalar.step(list(row)) for row in rows]
+            assert packed_apply(machine, rows) == expected
+            block = PatternBlock.from_rows(rows, width)
+            assert packed_apply(machine, block) == expected
+            assert packed_bits(machine, block) == [
+                [word & 1 for word in words] for words in expected
+            ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("kind", ["list", "tuple", "bool", "mapping"])
+    def test_row_kinds_through_facade(self, backend, width, kind):
+        circuit = random_dag_circuit(num_inputs=6, num_gates=30, seed=5)
+        sim = LCCSimulator(
+            circuit, backend=backend, word_width=width, packed=True,
+            tiles=3,
+        )
+        for size in _batch_sizes(width):
+            rows = vectors_for(circuit, size, seed=size + 1)
+            expected = [sim.machine.step(list(row)) for row in rows]
+            got = sim.apply_vectors(_rows_of_kind(circuit, rows, kind))
+            assert got == expected
+
+    def test_planes_are_transposed_rows(self):
+        rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1], [1, 0, 0]]
+        block = PatternBlock.from_rows(rows, 8)
+        # bit j of plane k = input k of vector j
+        assert block.planes == [0b10101, 0b00110, 0b01011]
+        assert (block.count, block.groups, len(block)) == (5, 1, 1)
+        tiled = block.laid_out(3, fill=True)
+        assert (tiled.groups, len(tiled)) == (2, 1)
+        # Pass p, slot s, tile t is word p*K + t of plane s.
+        assert tiled.buffer.tolist() == [
+            0b10101, 0, 0, 0b00110, 0, 0, 0b01011, 0, 0,
+        ]
+
+    def test_extra_slots_patch_every_pass_and_tile(self):
+        rows = [[1]] * 20
+        block = PatternBlock.from_rows(rows, 8).laid_out(2, extra=[7])
+        assert len(block) == 2 and block.slots == 2
+        parts = block.split()
+        assert [part.count for part in parts] == [16, 4]
+        block.set_extra(0, 9)
+        assert block.buffer.tolist() == [
+            0xFF, 0xFF, 9, 9, 0x0F, 0, 9, 9,
+        ]
+        # Parts share the buffer: the patch shows through.
+        assert [part.buffer.tolist() for part in parts] == [
+            [0xFF, 0xFF, 9, 9], [0x0F, 0, 9, 9],
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_round_trip_against_group_lists(self, backend, width):
+        # The list-of-groups adapters and the block agree word for
+        # word, in and out, on random circuits.
+        for seed in (1, 2, 3):
+            circuit = random_dag_circuit(
+                num_inputs=5 + seed, num_gates=25, seed=seed
+            )
+            machine = compile_program(
+                generate_lcc_program(circuit, word_width=width), backend
+            )
+            rows = vectors_for(circuit, 3 * width + seed, seed=seed)
+            groups, lane_counts = pack_patterns(rows, width)
+            block = PatternBlock.from_rows(rows, width)
+            assert [
+                block.lane_words(k).tolist()
+                for k in range(len(circuit.inputs))
+            ] == [list(column) for column in zip(*groups)]
+            assert unpack_patterns(
+                [word for group in groups for word in group],
+                len(circuit.inputs), lane_counts,
+            ) == rows
+            flat = []
+            machine.run_packed_block(groups, flat)
+            assert unpack_patterns(
+                flat, machine.num_outputs, lane_counts
+            ) == packed_bits(machine, block)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_block_must_fit_the_machine(self, fig1_circuit, backend):
+        machine = compile_program(
+            generate_lcc_program(fig1_circuit, word_width=8), backend,
+            tiles=2,
+        )
+        block = PatternBlock.from_rows([[0, 1, 1]], 8)
+        with pytest.raises(BackendError, match="does not fit"):
+            machine.run_packed_block(block)
+        out = []
+        machine.run_packed_block(block.laid_out(2), out)
+        assert len(out) == machine.num_outputs
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_load_state_takes_machine_words(self, fig4_circuit, backend):
+        program, _variables = generate_pcset_program(
+            fig4_circuit, word_width=16
+        )
+        machine = compile_program(program, backend)
+        values = [(7 * i + 3) & 0xFFFF for i in range(machine.num_state)]
+        machine.load_state(array("H", values))
+        assert machine.dump_state() == values
+
+    @pytest.mark.skipif(not have_c_compiler(), reason="needs a C compiler")
+    def test_c_apply_vectors_enters_run_packed_block(
+        self, fig1_circuit, monkeypatch
+    ):
+        # inject_slowdown(backend="c", path="packed") wraps this entry:
+        # the auto-packed batch path must go through it.
+        calls = []
+        original = CMachine.run_packed_block
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CMachine, "run_packed_block", counting)
+        sim = LCCSimulator(fig1_circuit, backend="c", word_width=8)
+        sim.apply_vectors(vectors_for(fig1_circuit, 20, seed=1))
+        assert len(calls) == 1 and isinstance(calls[0], PatternBlock)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_batches(self, fig1_circuit, backend):
+        # An empty block has no planes; every packed entry takes it.
+        sim = LCCSimulator(
+            fig1_circuit, backend=backend, word_width=8, packed=True
+        )
+        sim.run_prepared(sim.prepare_packed([]))
+        assert sim.apply_vectors([]) == []
+        assert sim.run_batch([]) == 0
+        report = ParallelFaultSimulator(
+            fig1_circuit, backend=backend, word_width=8,
+            patterns="packed",
+        ).run([])
+        assert not report.detected and report.num_vectors == 0
+
+
+class TestPatternBlockErrors:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("word", [2, 3, 255, 256, -1])
+    def test_multibit_words_fall_back_or_raise(
+        self, fig1_circuit, backend, word
+    ):
+        auto = LCCSimulator(fig1_circuit, backend=backend, word_width=8)
+        assert PatternBlock.from_rows([[word, 1, 0]], 8) is None
+        out = auto.apply_vectors([[0, 1, 1], [word, 1, 0]])
+        assert out == [
+            auto.machine.step([0, 1, 1]),
+            auto.machine.step([word, 1, 0]),
+        ]
+        strict = LCCSimulator(
+            fig1_circuit, backend=backend, word_width=8, packed=True
+        )
+        with pytest.raises(SimulationError, match="0/1"):
+            strict.apply_vectors([[0, 1, 1], [word, 1, 0]])
+
+    def test_ragged_rows_name_the_vector(self, fig1_circuit):
+        with pytest.raises(SimulationError, match="vector 2 has 2 values"):
+            PatternBlock.from_rows([[0, 1, 1], [1, 1, 0], [1, 0]], 8)
+        with pytest.raises(SimulationError, match="vector 1 has 1 values"):
+            pack_patterns([[0, 1], [1]], 8)
+        sim = LCCSimulator(fig1_circuit, word_width=8)
+        with pytest.raises(SimulationError, match="batch vector 1:"):
+            sim.apply_vectors([[0, 1, 1], [1, 0], [1, 1, 1]])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("value", [1.0, "1", None])
+    def test_non_integer_values_raise_simulation_error(
+        self, fig1_circuit, backend, value
+    ):
+        with pytest.raises(SimulationError, match="input 1"):
+            PatternBlock.from_rows([[0, 1, 1], [1, value, 0]], 8)
+        sim = LCCSimulator(fig1_circuit, backend=backend, word_width=8)
+        with pytest.raises(SimulationError, match="not an integer"):
+            sim.apply_vectors([[0, 1, 1], [1, value, 0]])
