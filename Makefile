@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install check test fuzz-smoke fuzz-campaign fuzz-distill bench bench-json bench-shards bench-partition bench-telemetry bench-tiled bench-replay bench-probes bench-quick examples lint clean
+.PHONY: install check test fuzz-smoke fuzz-campaign fuzz-distill bench bench-json bench-telemetry bench-tiled bench-replay bench-probes bench-quick examples lint clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || \
@@ -26,10 +26,6 @@ check:
 			|| exit 1; \
 	done
 	$(MAKE) bench-json REPRO_BENCH_SCALE=0.1
-	$(MAKE) bench-shards REPRO_BENCH_SCALE=0.05 REPRO_BENCH_VECTORS=32 \
-		REPRO_BENCH_FAULTS=96 REPRO_BENCH_WORKERS=1,2
-	$(MAKE) bench-partition REPRO_BENCH_SCALE=0.05 \
-		REPRO_BENCH_VECTORS=32 REPRO_BENCH_PARTITIONS=1,2,4
 	$(MAKE) bench-telemetry
 	$(MAKE) bench-tiled REPRO_BENCH_SCALE=0.05
 	$(MAKE) bench-replay REPRO_BENCH_REPLAY_CYCLES=4000
@@ -40,8 +36,7 @@ check:
 # Short differential-fuzzing campaign at a fixed seed; the exit code
 # asserts that no technique/backend/execution-shape disagreement was
 # found (a failure writes its shrunk reproducer to a temp corpus and
-# fails the target).  The sampled lattice includes the partitioned
-# execution axis (monolithic vs. barrier-engine identity).
+# fails the target).
 fuzz-smoke:
 	@tmp=$$(mktemp -d) && \
 	PYTHONPATH=src $(PYTHON) -m repro.cli fuzz --seed 1990 \
@@ -50,7 +45,7 @@ fuzz-smoke:
 
 # The continuous campaign (~120 s budget): deterministic coverage
 # preamble over every execution surface (scalar, batched, packed,
-# tiled, laned-shift, partitioned, sequential replay w/ restore,
+# tiled, laned-shift, sequential replay w/ restore,
 # probed, faults), random lattice exploration for the rest of the
 # budget, then the perf oracles against a machine-calibrated envelope.
 # --perf auto enforces the throughput floors except under CI=1 or on
@@ -80,25 +75,6 @@ bench:
 # Scale/vector knobs pass through the REPRO_BENCH_* environment.
 bench-json:
 	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_packed_throughput.py
-
-# Reduced-scale sharded fault grading: refreshes
-# benchmarks/results/sharded_faults.{txt,json} and the repo-root
-# BENCH_shards.json snapshot, asserting every merged report is
-# bit-identical to the single-process run (the speedup floor applies
-# only on hosts with >= 4 CPUs).  Knobs: REPRO_BENCH_{SCALE,VECTORS,
-# FAULTS,WORKERS,BACKEND}.
-bench-shards:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_sharded_faults.py
-
-# Reduced-scale partitioned-simulation measurement: refreshes
-# benchmarks/results/partition.{txt,json} and the repo-root
-# BENCH_partition.json snapshot, asserting every partitioned run is
-# bit-identical to the monolithic engine and the cut is deterministic
-# (the speedup floor applies only on >= 4 CPUs with the C backend).
-# Knobs: REPRO_BENCH_{SCALE,VECTORS,PARTITIONS,BACKEND} and
-# REPRO_BENCH_PARTITION_CIRCUIT.
-bench-partition:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_partition.py
 
 # Telemetry overhead budgets: refreshes
 # benchmarks/results/telemetry_overhead.{txt,json} and the repo-root

@@ -224,21 +224,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _partition_options(args: argparse.Namespace) -> dict:
-    """Partition kwargs for the harness factories.
-
-    Empty when ``--partitions`` is 1 so the default invocation stays
-    byte-for-byte the historical code path (and so techniques that
-    never grew the kwargs — the interpreters — are not disturbed).
-    """
-    if getattr(args, "partitions", 1) > 1:
-        return {
-            "partitions": args.partitions,
-            "partition_workers": args.partition_workers,
-        }
-    return {}
-
-
 def _tiles_option(args: argparse.Namespace) -> dict:
     """Tile kwargs for the harness factories.
 
@@ -258,12 +243,11 @@ def _tiles_option(args: argparse.Namespace) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     circuit = resolve_circuit(args.circuit, args.scale)
     vectors = vectors_for(circuit, args.vectors, args.seed)
-    options = _partition_options(args)
-    options.update(_tiles_option(args))
+    options = _tiles_option(args)
     if options and args.technique in ("interp2", "interp3",
                                       "zero-interp"):
         raise SystemExit(
-            f"--partitions/--tiles apply to compiled techniques only, "
+            f"--tiles applies to compiled techniques only, "
             f"not {args.technique!r}"
         )
     sim = build_simulator(
@@ -403,29 +387,11 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     report = grade_faults(
         circuit, vectors,
         word_width=args.word_width, backend=args.backend,
-        workers=args.workers, shards=args.shards,
-        mp_start=args.mp_start, shard_timeout=args.shard_timeout,
-        **_partition_options(args),
         **_tiles_option(args),
     )
     print(f"{circuit.name}: {report.num_faults} stuck-at faults, "
           f"{len(report.detected)} detected by {args.vectors} random "
           f"vectors (coverage {report.coverage:.1%})")
-    if hasattr(report, "sharding_stats"):
-        stats = report.sharding_stats()
-        line = (f"sharded: {stats['workers']} workers, "
-                f"{stats['num_shards']} shards "
-                f"(sizes {stats['shard_sizes']}), "
-                f"start={stats['mp_start']}")
-        if stats["retried_shards"]:
-            line += f", retried shards {stats['retried_shards']}"
-        if stats["degraded"]:
-            line += ", DEGRADED to single-process"
-        print(line)
-        events = stats.get("events", {})
-        if events.get("retries") or events.get("timeouts"):
-            print(f"events: {events['retries']} retries, "
-                  f"{events['timeouts']} timeouts")
     counters = getattr(report, "counters", None)
     if counters is not None and counters.seconds > 0:
         print(f"throughput: {counters.vectors} machine vectors in "
@@ -443,10 +409,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     vectors = vectors_for(circuit, args.vectors, args.seed)
     rows = []
     baseline: Optional[float] = None
-    partition_options = _partition_options(args)
-    partition_options.update(_tiles_option(args))
+    tiles = _tiles_option(args)
     for technique in args.techniques:
-        options = dict(partition_options)
+        options = dict(tiles)
         if technique in ("interp2", "interp3", "zero-interp"):
             options = {}
         run = run_technique(
@@ -510,18 +475,14 @@ def _fuzz_injection(name: str):
     from repro.fuzz import (
         MUTATIONS,
         inject_emitter_bug,
-        inject_partition_bug,
         inject_tile_bug,
     )
 
     if name in MUTATIONS:
         return inject_emitter_bug(name)
-    if name == "partition-exchange":
-        return inject_partition_bug()
     if name == "tile-boundary":
         return inject_tile_bug()
-    choices = sorted(MUTATIONS) + ["partition-exchange",
-                                   "tile-boundary"]
+    choices = sorted(MUTATIONS) + ["tile-boundary"]
     raise SystemExit(
         f"unknown --inject-bug {name!r}; choose from {choices}"
     )
@@ -682,8 +643,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     seq = resolve_sequential(args.circuit, args.scale)
     tape = Tape(args.tape)
-    options = _partition_options(args)
-    options.update(_tiles_option(args))
+    options = _tiles_option(args)
     cache = program_cache()
     before = cache.stats()
     sim = CompiledSequentialSimulator(
@@ -749,21 +709,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _add_partition_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--partitions", type=int, default=1,
-            help="split the netlist into N balanced fanin-cone "
-                 "clusters and run them through the level-band "
-                 "barrier engine (default 1: monolithic; results "
-                 "are bit-identical either way)",
-        )
-        p.add_argument(
-            "--partition-workers", type=int, default=None,
-            metavar="N",
-            help="threads driving the partition segments "
-                 "(default: one per partition)",
-        )
-
     def _add_tiles_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--tiles", type=int, default=1, metavar="K",
@@ -784,7 +729,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument(
             "--metrics-out", default=None, metavar="FILE",
             help="write the full telemetry snapshot (phases, counters, "
-                 "cache/packing/sharding sections) as JSON",
+                 "cache/packing/activity sections) as JSON",
         )
 
     p_stats = sub.add_parser("stats", help="static circuit report")
@@ -831,7 +776,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_sim.add_argument("-w", "--word-width", type=int, default=32,
                        choices=[8, 16, 32, 64])
     _add_tiles_arg(p_sim)
-    _add_partition_args(p_sim)
     _add_telemetry_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -909,26 +853,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_faults.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
     _add_tiles_arg(p_faults)
-    p_faults.add_argument(
-        "-j", "--workers", type=int, default=1,
-        help="worker processes for sharded grading (default 1: "
-             "single-process; the merged report is bit-identical)",
-    )
-    p_faults.add_argument(
-        "--shards", type=int, default=None,
-        help="fault-list shards (default 2x workers)",
-    )
-    p_faults.add_argument(
-        "--mp-start", default="auto",
-        choices=["auto", "fork", "spawn", "forkserver"],
-        help="multiprocessing start method (auto: fork if available)",
-    )
-    p_faults.add_argument(
-        "--shard-timeout", type=float, default=None,
-        help="per-shard result timeout in seconds; late shards are "
-             "regraded in-process",
-    )
-    _add_partition_args(p_faults)
     _add_telemetry_args(p_faults)
     p_faults.set_defaults(func=_cmd_faults)
 
@@ -947,7 +871,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_bench.add_argument("-w", "--word-width", type=int, default=32,
                          choices=[8, 16, 32, 64])
     _add_tiles_arg(p_bench)
-    _add_partition_args(p_bench)
     _add_telemetry_args(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -1019,8 +942,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_fc.add_argument(
         "--inject-bug", default=None, metavar="MUTATION",
         help="self-test: inject a known bug (nor-as-or, xnor-as-xor, "
-             "nand-as-and, not-as-buf, partition-exchange, "
-             "tile-boundary) and verify the campaign catches it",
+             "nand-as-and, not-as-buf, tile-boundary) and verify the "
+             "campaign catches it",
     )
     p_fc.add_argument(
         "--perf", default="off",
@@ -1125,7 +1048,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_replay.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
     _add_tiles_arg(p_replay)
-    _add_partition_args(p_replay)
     p_replay.add_argument(
         "--incremental", action="store_true",
         help="evaluate the core through per-fanin-cone programs "

@@ -65,6 +65,7 @@ import hashlib
 import os
 import re
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -97,6 +98,11 @@ __all__ = [
 
 _C_COMPILER: Optional[str] = None
 _C_COMPILER_PROBED = False
+
+#: Wall-clock bound, in seconds, on one C compile.  The slowest compile
+#: measured (full-scale c6288 parallel-trim at -O1) takes about 51 s;
+#: a compiler still running after ten times that is taken to be hung.
+COMPILE_TIMEOUT_S = 600.0
 
 _NUMPY = None
 _NUMPY_PROBED = False
@@ -801,7 +807,11 @@ class CMachine(Machine):
                 handle.write(self.source)
             with telemetry.span("cc", backend="c", opt=opt_level,
                                 program=program.name):
-                self._compile(compiler, opt_level, c_path, so_path)
+                try:
+                    self._compile(compiler, opt_level, c_path, so_path)
+                except BackendError:
+                    self.cleanup()
+                    raise
             if use_cache:
                 cache_dir = _PROGRAM_CACHE.artifact_dir()
                 cached_c = os.path.join(cache_dir, f"{key[0]}.c")
@@ -847,10 +857,24 @@ class CMachine(Machine):
             "-Wl,-Bsymbolic", "-Wl,-z,now",
             c_path, "-o", so_path,
         ]
-        result = subprocess.run(cmd, capture_output=True, text=True)
-        if result.returncode != 0:
+        # A session of its own lets a timeout kill the driver's
+        # cc1/as/ld children too, not just the driver.
+        process = subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            _out, stderr = process.communicate(timeout=COMPILE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            _out, stderr = process.communicate()
             raise BackendError(
-                f"C compilation failed ({' '.join(cmd)}):\n{result.stderr}"
+                f"C compilation timed out after {COMPILE_TIMEOUT_S:g} s "
+                f"({' '.join(cmd)}):\n{stderr}"
+            ) from None
+        if process.returncode != 0:
+            raise BackendError(
+                f"C compilation failed ({' '.join(cmd)}):\n{stderr}"
             )
 
     def step(self, vector: Sequence[int]) -> list[int]:

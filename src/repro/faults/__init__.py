@@ -12,19 +12,10 @@ that application end to end:
   and circuit transformation for the serial reference simulator;
 - :mod:`repro.faults.simulator` — lane-parallel fault simulation by
   instrumenting the generated PC-set program with per-net lane masks,
-  plus the brute-force serial simulator it is validated against;
-- :mod:`repro.faults.sharding` — the fault list sharded across a
-  multiprocess worker pool, merged bit-identically to the
-  single-process run (``run_fault_simulation(workers=N)``).
+  plus the brute-force serial simulator it is validated against.
 """
 
 from repro.faults.model import Fault, full_fault_list, inject_stuck_at
-from repro.faults.sharding import (
-    ShardedFaultReport,
-    merge_shard_outcomes,
-    run_sharded_fault_simulation,
-    shard_faults,
-)
 from repro.faults.simulator import (
     FaultReport,
     ParallelFaultSimulator,
@@ -41,10 +32,6 @@ __all__ = [
     "ParallelFaultSimulator",
     "serial_fault_simulation",
     "run_fault_simulation",
-    "ShardedFaultReport",
-    "shard_faults",
-    "merge_shard_outcomes",
-    "run_sharded_fault_simulation",
     "TestSet",
     "compact_tests",
     "generate_tests",

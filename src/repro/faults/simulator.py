@@ -132,8 +132,7 @@ class FaultReport:
     def __eq__(self, other: object) -> bool:
         """Bit-identical reports: same detected map (fault -> first
         detecting vector), same undetected faults *in the same order*,
-        same vector count.  This is the contract sharded grading is
-        held to against the single-process run."""
+        same vector count."""
         if not isinstance(other, FaultReport):
             return NotImplemented
         return (
@@ -201,8 +200,6 @@ class ParallelFaultSimulator:
         instrument: str = "all",
         patterns: str = "auto",
         tiles: "int | str" = 1,
-        partitions: int = 1,
-        partition_workers: Optional[int] = None,
         probes=None,
     ) -> None:
         if tiles != "auto":
@@ -247,15 +244,6 @@ class ParallelFaultSimulator:
         #: (instrument="all" only; K=1 lives in ``_all_machine``).
         self._all_tiled: dict = {}
         self._all_nets = sorted(circuit.nets)
-        # Packed-mode good-pre-pass memo: ((count, planes), goods).  The
-        # good words depend only on the circuit, word width and vectors (the
-        # unfaulted splices are identities whichever machine runs
-        # them), so repeated run() calls over the same vectors — the
-        # sharded grading shape — reuse them instead of re-running the
-        # pre-pass per shard.  ``goods`` is normalized to per-group
-        # layout (group-major, one word per monitored output), so the
-        # memo is valid across tile counts.
-        self._goods_memo: Optional[tuple[tuple, list[int]]] = None
         # The instrumentation only splices in &/| masking statements, so
         # pattern-packing eligibility is decided by the base program.
         self._pack_eligible = (
@@ -267,47 +255,16 @@ class ParallelFaultSimulator:
                 "primary inputs"
             )
         self.patterns = patterns
-        if partitions < 1:
-            raise SimulationError(f"partitions must be >= 1: {partitions}")
-        self.partitions = partitions
-        self.partition_workers = partition_workers
-        self._partition_settler = None
         #: Good-machine switching probes (see :meth:`good_activity`).
         self.probes = ProbeSpec.coerce(probes)
-        self._activity_memo = None
-
-    def _steady_state(self, initial: Sequence[int]) -> Mapping[str, int]:
-        """The pre-existing steady state every grading run seeds from.
-
-        With ``partitions > 1`` the settle runs on the partitioned
-        compiled engine — bit-identical values (the zero-delay steady
-        state of an acyclic circuit is unique), so the fault report is
-        unchanged; otherwise the interpreted settle is used.
-        """
-        if self.partitions <= 1:
-            return steady_state(self.circuit, initial)
-        if self._partition_settler is None:
-            from repro.partition.executor import PartitionedSimulator
-
-            self._partition_settler = PartitionedSimulator(
-                self.circuit,
-                partitions=self.partitions,
-                partition_workers=self.partition_workers,
-                backend=self.backend,
-                word_width=self.word_width,
-            )
-        return self._partition_settler.evaluate_all_nets(initial)
 
     def warm_up(self) -> None:
         """Pre-build and compile the shared all-nets machine.
 
         A no-op with ``instrument="batch"`` (those machines are
-        per-batch by design).  Sharded grading calls this once per
-        worker process, so backend compilation — gcc, on the C
-        backend — runs once per worker instead of once per shard.
-        An explicit ``tiles=K`` warms the K-tile machine too;
-        ``"auto"`` can't (K depends on the vector count), so the
-        first shard in each worker pays that compile.
+        per-batch by design).  An explicit ``tiles=K`` warms the K-tile
+        machine too; ``"auto"`` can't (K depends on the vector count),
+        so the first run pays that compile.
         """
         if self.instrument == "all":
             self._machine_for(self._all_nets)
@@ -347,11 +304,7 @@ class ParallelFaultSimulator:
         (a probed PC-set simulator seeded from the ``initial`` steady
         state) and returns its
         :class:`~repro.activity.ActivityReport`.  The counters are
-        fault-independent — exactly like the packed good pre-pass —
-        so the report is memoized per simulator: sharded grading pays
-        one probed pass per worker regardless of shard count, and the
-        outcome merged from any shard is bit-identical to the
-        single-process run.
+        fault-independent, exactly like the packed good pre-pass.
         """
         if self.probes is None:
             raise SimulationError(
@@ -360,12 +313,6 @@ class ParallelFaultSimulator:
             )
         if initial is None:
             initial = [0] * len(self.circuit.inputs)
-        key = (
-            tuple(tuple(v & 1 for v in vector) for vector in vectors),
-            tuple(v & 1 for v in initial),
-        )
-        if self._activity_memo is not None and self._activity_memo[0] == key:
-            return self._activity_memo[1]
         from repro.pcset.simulator import PCSetSimulator
 
         with telemetry.span("fault.activity"):
@@ -377,9 +324,7 @@ class ParallelFaultSimulator:
             )
             sim.reset(list(initial))
             sim.apply_vectors([list(vector) for vector in vectors])
-            report = sim.activity_report()
-        self._activity_memo = (key, report)
-        return report
+            return sim.activity_report()
 
     def _packed_tiles(self, num_groups: int) -> int:
         """Tile count for packed screens over ``num_groups`` groups.
@@ -521,7 +466,7 @@ class ParallelFaultSimulator:
                 raise SimulationError(f"no such net: {fault.net!r}")
         if initial is None:
             initial = [0] * len(self.circuit.inputs)
-        settled = self._steady_state(initial)
+        settled = steady_state(self.circuit, initial)
         mask = (1 << self.word_width) - 1
         packed = self.patterns == "packed" or (
             self.patterns == "auto" and self._pack_eligible
@@ -554,14 +499,9 @@ class ParallelFaultSimulator:
                 for _tile in range(tiles)
             ])
             # The good words are fault-independent (every mask input is
-            # all-ones, so the splices are identities) — computed once,
-            # shared by every batch whichever machine it compiles, and
-            # memoized across run() calls over the same vectors.
+            # all-ones, so the splices are identities) — computed once
+            # and shared by every batch whichever machine it compiles.
             goods: Optional[list[int]] = None
-            memo_key = (block.count, block.planes)
-            memo = self._goods_memo
-            if memo is not None and memo[0] == memo_key:
-                goods = memo[1]
 
         detected: dict[Fault, int] = {}
         undetected: list[Fault] = []
@@ -582,8 +522,6 @@ class ParallelFaultSimulator:
                     undetected.append(fault)
                 else:
                     detected[fault] = first
-        if packed and goods is not None:
-            self._goods_memo = (memo_key, goods)
         return FaultReport(detected, undetected, len(vectors))
 
     def _run_batch(
@@ -750,7 +688,7 @@ class ParallelFaultSimulator:
         lane unfaulted, so these are the fault-free settled outputs of
         every pattern.  Tiled passes are de-interleaved back to
         group-major order (``goods[g * n_out + o]``) so detection scans
-        — and the cross-run memo — are independent of the tile count.
+        are independent of the tile count.
         """
         flat: list[int] = []
         if run.count:
@@ -824,59 +762,29 @@ def run_fault_simulation(
     initial: Optional[Sequence[int]] = None,
     patterns: str = "auto",
     tiles: "int | str" = 1,
-    workers: int = 1,
-    shards: Optional[int] = None,
-    mp_start: str = "auto",
-    shard_timeout: Optional[float] = None,
-    partitions: int = 1,
-    partition_workers: Optional[int] = None,
     probes=None,
 ) -> FaultReport:
     """Convenience wrapper around :class:`ParallelFaultSimulator`.
 
-    With ``workers > 1`` the fault list is sharded across a worker
-    pool (:mod:`repro.faults.sharding`) and the merged report — a
-    :class:`~repro.faults.sharding.ShardedFaultReport` — is
-    bit-identical to the single-process run.  ``shards``, ``mp_start``
-    and ``shard_timeout`` tune that path and are ignored otherwise.
-    ``partitions``/``partition_workers`` run the steady-state settle on
-    the partitioned compiled engine (bit-identical report; see
-    :mod:`repro.partition`).  ``tiles`` widens the packed-pattern
-    screens to K pattern groups per compiled pass (``"auto"`` picks K
-    from the vector count; bit-identical report at every K).
+    ``tiles`` widens the packed-pattern screens to K pattern groups per
+    compiled pass (``"auto"`` picks K from the vector count;
+    bit-identical report at every K).
 
     An explicitly empty fault list short-circuits to an empty report —
-    no simulator is built, no program compiled, no pool spun up (the
-    sharded path likewise returns its empty merged report inline, so
-    the ``workers > 1`` report type stays :class:`ShardedFaultReport`).
+    no simulator is built and no program compiled.
 
     ``probes`` additionally grades *switching activity*: the fault-free
     machine runs once with compiled-in toggle counters and the report
     gains an ``activity`` attribute
-    (:class:`~repro.activity.ActivityReport`) — in sharded mode the
-    per-net counters ride the shard outcomes and the parent keeps the
-    lowest-indexed copy, bit-identical to the single-process run.
+    (:class:`~repro.activity.ActivityReport`).
     """
     if faults is not None:
         faults = list(faults)
-        if not faults and workers <= 1:
+        if not faults:
             return FaultReport({}, [], len(vectors))
-    if workers > 1:
-        from repro.faults.sharding import run_sharded_fault_simulation
-
-        return run_sharded_fault_simulation(
-            circuit, vectors, faults,
-            word_width=word_width, backend=backend, initial=initial,
-            patterns=patterns, tiles=tiles, workers=workers, shards=shards,
-            mp_start=mp_start, shard_timeout=shard_timeout,
-            partitions=partitions, partition_workers=partition_workers,
-            probes=probes,
-        )
     simulator = ParallelFaultSimulator(
         circuit, word_width=word_width, backend=backend, patterns=patterns,
-        tiles=tiles,
-        partitions=partitions, partition_workers=partition_workers,
-        probes=probes,
+        tiles=tiles, probes=probes,
     )
     report = simulator.run(vectors, faults, initial=initial)
     report.counters = simulator.batch_counters()

@@ -2,8 +2,8 @@
 
 The execution paths of this library (event-driven reference, PC-set,
 parallel variants, zero-delay LCC; Python, C and numpy backends;
-scalar / batched / packed / tiled / partitioned / sequential-replay /
-probed execution) must agree bit for bit — and stay fast.  This
+scalar / batched / packed / tiled / sequential-replay / probed
+execution) must agree bit for bit — and stay fast.  This
 package keeps them honest at scale: :func:`run_campaign` explores
 random circuits against a sampled slice of the configuration lattice
 (with a deterministic coverage preamble so every surface is drawn
@@ -44,7 +44,6 @@ from repro.fuzz.lattice import (
 from repro.fuzz.mutation import (
     MUTATIONS,
     inject_emitter_bug,
-    inject_partition_bug,
     inject_slowdown,
     inject_tile_bug,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "distill_corpus",
     "entry_from_failure",
     "inject_emitter_bug",
-    "inject_partition_bug",
     "inject_slowdown",
     "inject_tile_bug",
     "load_bench",

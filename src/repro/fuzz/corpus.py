@@ -56,13 +56,16 @@ class CorpusEntry:
 
         The config's ``schema`` marker is metadata, not identity — the
         same (circuit, tape, lattice point) keeps its id across schema
-        bumps, so committed corpus filenames stay stable.
+        bumps, so committed corpus filenames stay stable.  For the same
+        reason the ``workers`` axis, which schema-2 configs always
+        serialized, is hashed at the one value it could keep (1).
         """
         config = {
             key: value
             for key, value in self.config.as_dict().items()
             if key != "schema"
         }
+        config["workers"] = 1
         payload = json.dumps(
             [self.bench, self._tape_strings(), config],
             sort_keys=True,

@@ -2,10 +2,10 @@
 
 Five execution paths must agree bit for bit — the event-driven
 reference, the PC-set method, the parallel variants, both backends,
-and the scalar/packed/batched/sharded execution shapes.  A point in
-the lattice is a :class:`FuzzConfig`: *which* differential check to
-run (``check``), on *which* technique, backend, word width, batch
-size, and — for the fault workload — worker count.  The campaign
+and the scalar/packed/batched execution shapes.  A point in the
+lattice is a :class:`FuzzConfig`: *which* differential check to run
+(``check``), on *which* technique, backend, word width, batch size,
+tile count and probe setting.  The campaign
 (:mod:`repro.fuzz.campaign`) samples a slice of the lattice per
 circuit; :func:`run_check` executes one point and raises
 :class:`~repro.harness.compare.Mismatch` on disagreement, which is the
@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 from repro.errors import SimulationError
 from repro.harness.compare import (
     PACKED_TECHNIQUES,
-    PARTITIONED_TECHNIQUES,
     Mismatch,
     cross_validate,
 )
@@ -43,17 +42,14 @@ __all__ = [
 ]
 
 #: The differential comparisons the fuzzer knows how to run.
-CHECKS = (
-    "history", "batched", "packed", "faults", "partitioned",
-    "sequential",
-)
+CHECKS = ("history", "batched", "packed", "faults", "sequential")
 
 #: Version of the serialized :class:`FuzzConfig` shape.  Corpus entries
 #: record it so a build can tell "written by an older library — refill
 #: the late-added defaults" (an upgrade shim runs) apart from "written
 #: by a *newer* library" (a clean error instead of silently dropping
 #: axes it does not understand).
-CONFIG_SCHEMA = 2
+CONFIG_SCHEMA = 3
 
 #: Compiled backends the lattice can draw.  ``numpy`` is optional at
 #: runtime (:func:`repro.codegen.runtime.have_numpy`); configuration
@@ -67,7 +63,7 @@ BACKENDS = ("python", "c", "numpy")
 #: the K-lane execution of shift programs on the batched path.
 SURFACES = (
     "scalar", "batched", "packed", "tiled", "laned-shift",
-    "partitioned", "replay-restore", "probed", "faults",
+    "replay-restore", "probed", "faults",
 )
 
 #: Clocked engines exercised by the ``"sequential"`` check.
@@ -92,7 +88,6 @@ PROBE_TECHNIQUES = {
     "history": ("pcset", "parallel", "parallel-trim"),
     "batched": ("pcset", "parallel", "parallel-trim"),
     "packed": PACKED_TECHNIQUES,
-    "partitioned": PARTITIONED_TECHNIQUES,
     "faults": (),
 }
 
@@ -101,20 +96,17 @@ PROBE_TECHNIQUES = {
 class FuzzConfig:
     """One point of the configuration lattice.
 
-    ``batch_size`` chunks the tape for the batched/packed/partitioned
-    paths (``0`` = the whole tape in one dispatch).  ``workers``
-    applies to the ``"faults"`` check (sharded multiprocess identity)
-    and to ``"partitioned"`` (the barrier engine's thread count);
-    ``partitions`` is the ``"partitioned"`` check's cluster count and
-    must stay 1 everywhere else.  ``tiles`` compiles the technique
-    under test as a K-tile machine (``word_width * K`` pattern lanes
-    per packed pass, or K shift-program lanes on the batched path —
-    see :mod:`repro.codegen.packing`); every check's identity contract
-    must hold unchanged at any K.  ``probes`` additionally builds the
-    technique under test with compiled-in activity counters and
-    compares them differentially against the history-derived reference
-    (or, for the faults check, asserts good-machine activity identity
-    across the scalar/packed/sharded report shapes).
+    ``batch_size`` chunks the tape for the batched/packed/sequential
+    paths (``0`` = the whole tape in one dispatch).  ``tiles`` compiles
+    the technique under test as a K-tile machine (``word_width * K``
+    pattern lanes per packed pass, or K shift-program lanes on the
+    batched path — see :mod:`repro.codegen.packing`); every check's
+    identity contract must hold unchanged at any K.  ``probes``
+    additionally builds the technique under test with compiled-in
+    activity counters and compares them differentially against the
+    history-derived reference (or, for the faults check, asserts
+    good-machine activity identity across the scalar/packed/tiled
+    report shapes).
     """
 
     check: str = "history"
@@ -122,8 +114,6 @@ class FuzzConfig:
     backend: str = "python"
     word_width: int = 32
     batch_size: int = 0
-    workers: int = 1
-    partitions: int = 1
     tiles: int = 1
     probes: bool = False
 
@@ -151,30 +141,12 @@ class FuzzConfig:
                     f"'packed' check needs a technique from "
                     f"{PACKED_TECHNIQUES}: {self.technique!r}"
                 )
-        elif self.check == "partitioned":
-            if self.technique not in PARTITIONED_TECHNIQUES:
-                raise SimulationError(
-                    f"'partitioned' check needs a technique from "
-                    f"{PARTITIONED_TECHNIQUES}: {self.technique!r}"
-                )
-            if self.partitions < 2:
-                raise SimulationError(
-                    f"'partitioned' check needs partitions >= 2: "
-                    f"{self.partitions}"
-                )
         elif self.check == "sequential":
             if self.technique not in SEQUENTIAL_ENGINES:
                 raise SimulationError(
                     f"'sequential' check needs an engine from "
                     f"{SEQUENTIAL_ENGINES}: {self.technique!r}"
                 )
-        if (self.check not in ("partitioned", "sequential")
-                and self.partitions != 1):
-            raise SimulationError(
-                f"partitions applies to the 'partitioned' and "
-                f"'sequential' checks only "
-                f"(check={self.check!r}, partitions={self.partitions})"
-            )
         if not isinstance(self.tiles, int) or self.tiles < 1:
             raise SimulationError(f"tiles must be >= 1: {self.tiles!r}")
         if self.probes:
@@ -203,16 +175,9 @@ class FuzzConfig:
             parts.append(self.technique)
         parts.append(self.backend)
         parts.append(f"w{self.word_width}")
-        if (self.check in ("batched", "packed", "partitioned",
-                           "sequential")
+        if (self.check in ("batched", "packed", "sequential")
                 and self.batch_size):
             parts.append(f"b{self.batch_size}")
-        if self.check in ("faults", "partitioned") and self.workers > 1:
-            parts.append(f"j{self.workers}")
-        if self.check == "partitioned":
-            parts.append(f"p{self.partitions}")
-        elif self.check == "sequential" and self.partitions > 1:
-            parts.append(f"p{self.partitions}")
         if self.tiles > 1:
             parts.append(f"k{self.tiles}")
         if self.probes:
@@ -234,7 +199,6 @@ class FuzzConfig:
             "history": "scalar",
             "batched": "batched",
             "packed": "packed",
-            "partitioned": "partitioned",
             "sequential": "replay-restore",
             "faults": "faults",
         }[self.check]
@@ -253,9 +217,9 @@ class FuzzConfig:
         """Coarse lattice-point identity used by corpus distillation.
 
         Two configs with the same key exercise the same code paths:
-        the exact chunk size and worker count are sampling noise, so
-        they collapse to chunked/whole and solo/multi buckets — an
-        entry is subsumed by a *smaller* entry with an equal key.
+        the exact chunk size is sampling noise, so it collapses to a
+        chunked/whole bucket — an entry is subsumed by a *smaller*
+        entry with an equal key.
         """
         parts = [self.check]
         if self.check != "faults":
@@ -263,10 +227,6 @@ class FuzzConfig:
         parts.append(self.backend)
         parts.append(f"w{self.word_width}")
         parts.append("chunked" if self.batch_size else "whole")
-        if self.workers > 1:
-            parts.append("multi")
-        if self.partitions > 1:
-            parts.append(f"p{self.partitions}")
         if self.tiles > 1:
             parts.append(f"k{self.tiles}")
         if self.probes:
@@ -280,8 +240,6 @@ class FuzzConfig:
         # (``from_dict`` refills the default on load).  The ``schema``
         # field is likewise excluded from content addressing
         # (:meth:`repro.fuzz.corpus.CorpusEntry.entry_id`).
-        if data["partitions"] == 1:
-            del data["partitions"]
         if data["tiles"] == 1:
             del data["tiles"]
         if not data["probes"]:
@@ -331,16 +289,47 @@ def _upgrade_config_v1(data: dict) -> dict:
     """Schema 1 -> 2: the pre-``schema`` shape.
 
     Schema 1 dicts predate the explicit version field; every axis they
-    can carry is still a field today, and axes added since (partitions,
-    tiles, probes, the numpy backend) serialize only when non-default —
+    can carry was still a field in schema 2, and axes added since
+    (tiles, probes, the numpy backend) serialize only when non-default —
     the dataclass defaults refill them.  The shim is therefore a
-    rename-free pass-through; it exists so future shape changes have an
-    established place to rewrite old keys.
+    pass-through.
     """
     return data
 
 
-_CONFIG_UPGRADES = {1: _upgrade_config_v1}
+#: Execution axes dropped in schema 3 with the engines behind them
+#: (the fault-list process pool and the partition executor), and the
+#: one value each can still carry: the single-process monolithic run.
+_REMOVED_AXES = {"workers": 1, "partitions": 1}
+
+
+def _upgrade_config_v2(data: dict) -> dict:
+    """Schema 2 -> 3: drop the ``workers`` and ``partitions`` axes.
+
+    A dict holding either at its default of 1 describes the
+    single-process monolithic run every check performs today, so the
+    key is dropped.  A ``"partitioned"`` check, or either axis above 1,
+    named an engine that no longer exists; replaying it as something
+    else would test the wrong lattice point, so it raises.
+    """
+    data = dict(data)
+    if data.get("check") == "partitioned":
+        raise SimulationError(
+            "config uses the removed 'partitioned' check (the "
+            "partition executor was deleted); it cannot be replayed"
+        )
+    for axis, only in _REMOVED_AXES.items():
+        value = data.pop(axis, only)
+        if value != only:
+            raise SimulationError(
+                f"config sets the removed {axis!r} axis to {value!r}; "
+                f"only {axis}={only} (single-process, monolithic) can "
+                f"be replayed"
+            )
+    return data
+
+
+_CONFIG_UPGRADES = {1: _upgrade_config_v1, 2: _upgrade_config_v2}
 
 
 def sample_configs(
@@ -356,8 +345,7 @@ def sample_configs(
     oracle); batched, packed and — when enabled — fault-report
     identity each get a slice of every campaign.
     """
-    kinds = ["history", "history", "batched", "packed", "partitioned",
-             "sequential"]
+    kinds = ["history", "history", "batched", "packed", "sequential"]
     if include_faults:
         kinds.append("faults")
     configs: list[FuzzConfig] = []
@@ -367,27 +355,11 @@ def sample_configs(
         word_width = rng.choice(WORD_WIDTHS)
         if check == "packed":
             technique = rng.choice(list(PACKED_TECHNIQUES))
-        elif check == "partitioned":
-            technique = rng.choice(list(PARTITIONED_TECHNIQUES))
         elif check == "sequential":
             technique = rng.choice(list(SEQUENTIAL_ENGINES))
         else:
             technique = rng.choice(list(HISTORY_TECHNIQUES))
         batch_size = rng.choice((0, 1, 2, 3, 5, 8))
-        if check == "faults":
-            workers = rng.choice((2, 3))
-        elif check == "partitioned":
-            workers = rng.choice((1, 2))
-        else:
-            workers = 1
-        if check == "partitioned":
-            partitions = rng.choice((2, 3, 4))
-        elif check == "sequential" and technique == "lcc":
-            # The clocked loop threads partitions through the core's
-            # barrier engine; exercise that path on the lcc engine.
-            partitions = rng.choice((1, 1, 2))
-        else:
-            partitions = 1
         # The tile axis exercises the K-word packed/laned paths; the
         # history check steps per vector, where K never applies.
         tiles = rng.choice((1, 2, 4)) if check != "history" else 1
@@ -404,8 +376,6 @@ def sample_configs(
             backend=backend,
             word_width=word_width,
             batch_size=batch_size,
-            workers=workers,
-            partitions=partitions,
             tiles=tiles,
             probes=probes,
         ))
@@ -419,9 +389,9 @@ def coverage_configs(
 
     The campaign runs these against its first circuit before random
     sampling takes over, so a bounded run still *draws* scalar,
-    batched, packed, tiled, laned-shift, partitioned, sequential
-    replay-with-restore, and probed configurations — random sampling
-    alone can miss a surface inside a small budget.  The preferred
+    batched, packed, tiled, laned-shift, sequential
+    replay-with-restore, probed and fault-grading configurations —
+    random sampling alone can miss a surface inside a small budget.  The preferred
     backend is ``c`` when fuzzed (the production path), else the first
     one given.
     """
@@ -443,9 +413,6 @@ def coverage_configs(
         FuzzConfig(check="batched", technique="parallel",
                    backend=backend, word_width=16, batch_size=4,
                    tiles=2),
-        # partitioned barrier engine
-        FuzzConfig(check="partitioned", technique="zero-lcc",
-                   backend=backend, word_width=16, partitions=2),
         # sequential replay with mid-stream checkpoint/restore
         FuzzConfig(check="sequential", technique="lcc",
                    backend=backend, word_width=16, batch_size=2),
@@ -454,7 +421,7 @@ def coverage_configs(
                    backend=backend, word_width=8, probes=True),
         # fault-report identity
         FuzzConfig(check="faults", technique="parallel-best",
-                   backend=backend, word_width=16, workers=2),
+                   backend=backend, word_width=16),
     ]
     if "numpy" in backends:
         configs.append(FuzzConfig(
@@ -480,8 +447,7 @@ def run_check(
     if config.check == "sequential":
         return _check_sequential(circuit, vectors, config)
     execution = {"history": "scalar", "batched": "batched",
-                 "packed": "packed",
-                 "partitioned": "partitioned"}[config.check]
+                 "packed": "packed"}[config.check]
     checks = cross_validate(
         circuit,
         vectors,
@@ -490,8 +456,6 @@ def run_check(
         word_width=config.word_width,
         execution=execution,
         batch_size=config.batch_size or None,
-        partitions=config.partitions,
-        partition_workers=config.workers or None,
         tiles=config.tiles,
     )
     if config.probes:
@@ -519,16 +483,10 @@ def _check_probes(
 
     ref = collect_activity(EventDrivenSimulator(circuit), vectors)
     rows = [list(vector) for vector in vectors]
-    options = dict(
-        word_width=config.word_width,
-        backend=config.backend,
-        probes=True,
+    sim = build_simulator(
+        circuit, config.technique,
+        word_width=config.word_width, backend=config.backend, probes=True,
     )
-    if config.check == "partitioned":
-        options["partitions"] = config.partitions
-        if config.workers > 1:
-            options["partition_workers"] = config.workers
-    sim = build_simulator(circuit, config.technique, **options)
     zero_delay = config.technique == "zero-lcc"
     if zero_delay:
         sim.probe_reset()
@@ -618,7 +576,6 @@ def _check_sequential(
             backend=config.backend,
             word_width=config.word_width,
             tiles=config.tiles,
-            partitions=config.partitions,
         )
 
     # Interpreted reference: the paper's clocked recipe over the
@@ -717,7 +674,7 @@ def _check_sequential(
 
 #: Serial (event-driven, one run per fault) reference is only affordable
 #: on small instances; above these bounds the faults check still
-#: validates scalar-vs-packed and inline-vs-sharded identity.
+#: validates scalar-vs-packed(-vs-tiled) identity.
 _SERIAL_MAX_GATES = 30
 _SERIAL_MAX_VECTORS = 10
 
@@ -727,7 +684,7 @@ def _check_faults(
     vectors: Sequence[Sequence[int]],
     config: FuzzConfig,
 ) -> int:
-    """Fault-report identity: scalar vs. packed vs. sharded (vs. serial).
+    """Fault-report identity: scalar vs. packed vs. tiled (vs. serial).
 
     Every report must be equal — same detected map (fault -> first
     detecting vector) and same undetected list.  On small instances the
@@ -794,18 +751,6 @@ def _check_faults(
                 f"{tiled!r} vs {scalar!r}",
             )
         checks += tiled.num_faults + check_activity("tiled", tiled)
-    if config.workers > 1:
-        sharded = run_fault_simulation(
-            circuit, vectors, workers=config.workers,
-            tiles=config.tiles, **options()
-        )
-        if sharded != scalar:
-            raise Mismatch(
-                f"faults[sharded j{config.workers}]", -1, [],
-                f"  sharded report diverged from inline: "
-                f"{sharded!r} vs {scalar!r}",
-            )
-        checks += sharded.num_faults + check_activity("sharded", sharded)
     if (circuit.num_gates <= _SERIAL_MAX_GATES
             and len(vectors) <= _SERIAL_MAX_VECTORS):
         serial = serial_fault_simulation(circuit, vectors)

@@ -29,7 +29,6 @@ from repro.logic import GateType
 __all__ = [
     "MUTATIONS",
     "inject_emitter_bug",
-    "inject_partition_bug",
     "inject_tile_bug",
     "inject_slowdown",
 ]
@@ -63,41 +62,6 @@ def _buggy(kind: str):
         return expr
 
     return gate_expression
-
-
-@contextmanager
-def inject_partition_bug():
-    """Context manager: corrupt the barrier engine's cut-net exchange.
-
-    The first word of the first exported column a segment hands to the
-    exchange table gets its low bit flipped — the classic
-    "one partition published a stale/garbled cut value" bug.  The
-    monolithic (single-segment) fast path is left untouched, so the
-    partitioned differential check's reference side stays honest and
-    the campaign must catch the raw-word divergence.  Self-test only.
-    """
-    from repro.partition.executor import PartitionedSimulator
-
-    # ``_run_segment`` is a staticmethod — grab the descriptor so the
-    # restore puts back a staticmethod, not an instance method.
-    descriptor = PartitionedSimulator.__dict__["_run_segment"]
-    original = descriptor.__func__
-
-    def corrupted(self, segment, table, count):
-        # The replacement is a plain function, so it binds as an
-        # instance method — which is exactly what lets the bug consult
-        # ``self.monolithic`` and spare the single-segment fast path.
-        rows = original(segment, table, count)
-        if not self.monolithic and segment.exports and rows:
-            rows = [list(row) for row in rows]
-            rows[0][0] ^= 1
-        return rows
-
-    PartitionedSimulator._run_segment = corrupted
-    try:
-        yield "partition exchange flips bit 0 of the first cut word"
-    finally:
-        PartitionedSimulator._run_segment = descriptor
 
 
 @contextmanager

@@ -4,8 +4,8 @@ The repository carries committed ``BENCH_*.json`` snapshots proving the
 paper's "fast" claim and a differential fuzzer proving the "exact"
 claim; this module connects them.  A campaign run measures vectors/sec
 (and compile seconds) for a small set of *perf points* — lattice
-coordinates (surface × technique × backend × width × tiles ×
-partitions × probes) — against a machine-local *envelope* calibrated
+coordinates (surface × technique × backend × width × tiles × probes)
+— against a machine-local *envelope* calibrated
 at campaign start:
 
 1. warm-up normalization: each point is timed best-of-N on this
@@ -73,8 +73,6 @@ MIN_COMPILE_CEILING = 0.25
 #: Short bench name -> the ``figure`` field its snapshot must carry.
 BENCH_FIGURES = {
     "packed": "packed_throughput",
-    "shards": "sharded_faults",
-    "partition": "partition",
     "telemetry": "telemetry_overhead",
     "tiled": "tiled_throughput",
     "replay": "replay",
@@ -175,10 +173,9 @@ class PerfPoint:
     backend: str
     word_width: int = 32
     tiles: int = 1
-    partitions: int = 1
     probes: bool = False
 
-    SURFACES = ("scalar", "packed", "tiled", "partitioned", "probed")
+    SURFACES = ("scalar", "packed", "tiled", "probed")
 
     def __post_init__(self) -> None:
         if self.surface not in self.SURFACES:
@@ -194,8 +191,6 @@ class PerfPoint:
         ]
         if self.tiles > 1:
             parts.append(f"k{self.tiles}")
-        if self.partitions > 1:
-            parts.append(f"p{self.partitions}")
         if self.probes:
             parts.append("probes")
         return ":".join(parts)
@@ -206,7 +201,7 @@ class PerfPoint:
         if len(parts) < 4 or not parts[3].startswith("w"):
             raise SimulationError(
                 f"malformed perf point key {key!r} (want "
-                f"surface:technique:backend:wN[:kK][:pP][:probes])"
+                f"surface:technique:backend:wN[:kK][:probes])"
             )
         surface, technique, backend = parts[0], parts[1], parts[2]
         try:
@@ -215,12 +210,10 @@ class PerfPoint:
             raise SimulationError(
                 f"malformed width in perf point key {key!r}"
             ) from None
-        tiles, partitions, probes = 1, 1, False
+        tiles, probes = 1, False
         for extra in parts[4:]:
             if extra.startswith("k"):
                 tiles = int(extra[1:])
-            elif extra.startswith("p") and extra != "probes":
-                partitions = int(extra[1:])
             elif extra == "probes":
                 probes = True
             else:
@@ -230,8 +223,7 @@ class PerfPoint:
                 )
         return cls(
             surface=surface, technique=technique, backend=backend,
-            word_width=word_width, tiles=tiles, partitions=partitions,
-            probes=probes,
+            word_width=word_width, tiles=tiles, probes=probes,
         )
 
 
@@ -303,7 +295,7 @@ def default_points(
 
     Packed throughput is the paper's headline number, so it is
     measured per backend; the scalar block path per backend guards the
-    baseline; the tiled, partitioned and probed paths are measured on
+    baseline; the tiled and probed paths are measured on
     the preferred backend only (they multiply compile time and their
     regressions are backend-independent layout/orchestration code).
     """
@@ -325,10 +317,6 @@ def default_points(
     points.append(PerfPoint(
         surface="tiled", technique="zero-lcc", backend=preferred,
         word_width=16, tiles=2,
-    ))
-    points.append(PerfPoint(
-        surface="partitioned", technique="zero-lcc", backend=preferred,
-        word_width=32, partitions=2,
     ))
     points.append(PerfPoint(
         surface="probed", technique="zero-lcc", backend=preferred,
@@ -367,8 +355,6 @@ def _runnable_options(point: PerfPoint) -> dict:
         options["packed"] = True
         if point.tiles > 1:
             options["tiles"] = point.tiles
-    elif point.surface == "partitioned":
-        options["partitions"] = point.partitions
     elif point.surface == "probed":
         options["probes"] = True
     return options

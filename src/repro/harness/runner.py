@@ -127,13 +127,6 @@ def run_technique(
         # passes; False is the paper's one-vector-per-pass
         # configuration.
         sim = build_simulator(circuit, technique, **options)
-        if options.get("partitions", 1) > 1:
-            # The prepared-program fast path times one compiled
-            # program's inner loop and is monolithic by construction;
-            # the partitioned engine is exercised through the batch
-            # entry, which delegates to the barrier executor.
-            vector_rows = [list(v) for v in vectors]
-            return lambda: sim.run_batch(vector_rows)
         if sim.packed is not False:
             try:
                 prepared = sim.prepare_packed(vectors)
@@ -161,28 +154,18 @@ def grade_faults(
     circuit: Circuit,
     vectors: Sequence[Sequence[int]],
     faults=None,
-    *,
-    workers: int = 1,
     **options,
 ):
     """Factory-level entry to stuck-at fault grading.
 
     The harness counterpart of :func:`build_simulator` for the fault
-    workload: ``workers=1`` runs the single-process lane/pattern
-    engine; ``workers > 1`` shards the fault list across a
-    multiprocess pool (:mod:`repro.faults.sharding`) and returns the
-    merged — bit-identical — :class:`ShardedFaultReport`, whose
-    ``sharding_stats()`` carries the worker/shard execution metadata.
-    ``options`` pass through to
+    workload.  ``options`` pass through to
     :func:`repro.faults.simulator.run_fault_simulation`
-    (``word_width``, ``backend``, ``patterns``, ``shards``,
-    ``mp_start``, ``shard_timeout``, ...).
+    (``word_width``, ``backend``, ``patterns``, ``tiles``, ...).
     """
     from repro.faults.simulator import run_fault_simulation
 
-    return run_fault_simulation(
-        circuit, vectors, faults, workers=workers, **options
-    )
+    return run_fault_simulation(circuit, vectors, faults, **options)
 
 
 def simulate_outputs(

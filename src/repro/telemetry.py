@@ -17,14 +17,13 @@ across techniques — so the library instruments itself end to end:
   scattered ad-hoc counters: batched-execution totals
   (``run.batches``/``run.vectors``), program-cache hits/misses,
   pattern-packing eligibility and fallback reasons
-  (``packing.fallback.settled``/``.none``), and sharded-grading events
-  (``events.shard.retry``/``.timeout``/``.degraded``).  Counter merge
-  is associative and commutative (sum); gauge merge takes the maximum.
+  (``packing.fallback.settled``/``.none``), and discrete events
+  (``events.<name>``).  Counter merge is associative and commutative
+  (sum); gauge merge takes the maximum.
 - **Cross-process aggregation**: :func:`snapshot` serializes the whole
   state to a JSON-able dict, :func:`diff_snapshots` produces the delta
-  a shard worker ships back in its ``ShardOutcome``, and
-  :func:`merge_snapshot` folds child deltas into the parent — so
-  ``workers=N`` runs report exactly what their workers did.
+  a child process can ship back, and :func:`merge_snapshot` folds
+  child deltas into the parent.
 - **Export**: :func:`format_profile` renders the per-phase table the
   CLI's ``--profile`` flag and ``profile`` subcommand print;
   :func:`snapshot` backs ``--metrics-out``.
@@ -35,9 +34,9 @@ logger, which carries a ``NullHandler`` — attach your own handler to
 see span/event records (structured fields ride in ``extra`` under
 ``repro_``-prefixed keys).
 
-The module is intentionally not thread-safe: the concurrency unit of
-this library is the *process* (sharded fault grading), and each process
-owns its private telemetry state.
+The module is intentionally not thread-safe: every execution path of
+this library is single-threaded, and each process owns its private
+telemetry state.
 """
 
 from __future__ import annotations
@@ -82,8 +81,7 @@ class MetricsRegistry:
 
     Counters accumulate by summation; gauges record a level and merge
     by maximum — both operations are associative and commutative, so
-    merging per-worker registries is order-independent (the
-    cross-process contract sharded grading relies on).
+    merging per-process registries is order-independent.
     """
 
     __slots__ = ("counters", "gauges")
@@ -325,9 +323,8 @@ def gauge(name: str, value: float) -> None:
 def event(name: str, **fields) -> None:
     """Record a discrete occurrence: ``events.<name>`` counter + log.
 
-    This is how silent decisions (packed->scalar fallback, shard
-    retries, pool degradation) become visible; ``fields`` ride in the
-    log record's ``extra``.
+    This is how silent decisions (such as a packed->scalar fallback)
+    become visible; ``fields`` ride in the log record's ``extra``.
     """
     if not _ENABLED:
         return
@@ -370,11 +367,6 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
                 "vectors": counters.get("pack.shift.vectors", 0),
             },
         },
-        "sharding": {
-            "retries": counters.get("events.shard.retry", 0),
-            "timeouts": counters.get("events.shard.timeout", 0),
-            "degraded": counters.get("events.shard.degraded", 0),
-        },
         "seq": {
             # Clocked (sequential) execution — see repro.seqsim and
             # repro.replay: cycles/batches from apply_vectors,
@@ -387,7 +379,7 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
         "activity": {
             # Compiled-in probe counters — see repro.codegen.probes.
             # All four are summed counters, so the derived section
-            # merges associatively exactly like seq/pack/partition.
+            # merges associatively exactly like seq/pack.
             "vectors": counters.get("activity.vectors", 0),
             "toggles": counters.get("activity.toggles", 0),
             "functional": counters.get("activity.functional", 0),
@@ -408,22 +400,6 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
             "distill": {
                 "kept": counters.get("fuzz.distill.kept", 0),
                 "dropped": counters.get("fuzz.distill.dropped", 0),
-            },
-        },
-        "partition": {
-            "batches": counters.get("partition.batches", 0),
-            "packed_batches": counters.get(
-                "partition.packed_batches", 0
-            ),
-            "exchanged_words": counters.get(
-                "partition.exchanged_words", 0
-            ),
-            "fallback": {
-                "scalar": counters.get("partition.fallback.scalar", 0),
-                "settled": counters.get(
-                    "partition.fallback.settled", 0
-                ),
-                "none": counters.get("partition.fallback.none", 0),
             },
         },
     }
@@ -469,7 +445,7 @@ def snapshot() -> dict:
 
 
 def diff_snapshots(after: Mapping, before: Mapping) -> dict:
-    """``after - before``: the delta a shard worker ships to the parent.
+    """``after - before``: the delta a child process ships to its parent.
 
     Counters, cache counts and phase triples subtract; gauges keep the
     ``after`` level; ``entries`` (a level, not a flow) keeps the
@@ -561,7 +537,7 @@ def merge_snapshot(child: Mapping) -> None:
 
     Child cache counts land in ``cache.hits``/``cache.misses`` registry
     counters, which :func:`snapshot` adds on top of the live cache —
-    so a parent's export covers its workers' compilations too.
+    so a parent's export covers its children's compilations too.
     """
     for name, value in child.get("counters", {}).items():
         if name.startswith("cache."):

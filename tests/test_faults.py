@@ -6,6 +6,7 @@ from repro.errors import NetlistError, SimulationError
 from repro.eventsim.zerodelay import steady_state
 from repro.faults.model import Fault, full_fault_list, inject_stuck_at
 from repro.faults.simulator import (
+    FaultReport,
     ParallelFaultSimulator,
     run_fault_simulation,
     serial_fault_simulation,
@@ -189,6 +190,38 @@ class TestReport:
         no_outputs.not_("N", a)
         with pytest.raises(SimulationError, match="monitored"):
             ParallelFaultSimulator(no_outputs.build())
+
+    def test_empty_fault_list_short_circuits_inline(self):
+        circuit = ripple_carry_adder(3)
+        vectors = vectors_for(circuit, 14, seed=5)
+        report = run_fault_simulation(circuit, vectors, [])
+        assert isinstance(report, FaultReport)
+        assert report.num_faults == 0
+        assert report.detected == {}
+        assert report.undetected == []
+        assert report.coverage == 1.0
+        assert report.num_vectors == len(vectors)
+
+    def test_report_equality_contract(self):
+        # FaultReport.__eq__ is what every identity check leans on:
+        # order of undetected matters, vector count matters.
+        fault = Fault("A", 0)
+        other = Fault("A", 1)
+        base = FaultReport({fault: 3}, [other], 10)
+        assert base == FaultReport({fault: 3}, [other], 10)
+        assert base != FaultReport({fault: 2}, [other], 10)
+        assert base != FaultReport({fault: 3}, [], 10)
+        assert base != FaultReport({fault: 3}, [other], 11)
+        assert (base == object()) is False
+
+    def test_unknown_net_rejected(self):
+        from repro.harness.runner import grade_faults
+
+        circuit = ripple_carry_adder(2)
+        vectors = vectors_for(circuit, 14, seed=5)
+        for grade in (run_fault_simulation, grade_faults):
+            with pytest.raises(SimulationError, match="GHOST"):
+                grade(circuit, vectors, [Fault("GHOST", 0)])
 
 
 class TestInstrumentationModes:

@@ -21,7 +21,6 @@ from repro.fuzz import (
     coverage_configs,
     entry_from_failure,
     inject_emitter_bug,
-    inject_partition_bug,
     inject_tile_bug,
     load_corpus,
     load_entry,
@@ -48,9 +47,9 @@ class TestFuzzConfig:
         assert FuzzConfig.from_dict(config.as_dict()) == config
 
     def test_label_is_readable(self):
-        config = FuzzConfig(check="faults", workers=2)
+        config = FuzzConfig(check="faults", tiles=2)
         label = config.label()
-        assert "faults" in label and "j2" in label
+        assert "faults" in label and "k2" in label
 
     def test_rejects_unknown_check(self):
         with pytest.raises(SimulationError):
@@ -66,33 +65,33 @@ class TestFuzzConfig:
         assert a == b
         assert {c.check for c in a} <= set(CHECKS)
 
-    def test_partitioned_config_validates(self):
-        config = FuzzConfig(check="partitioned", technique="zero-lcc",
-                            partitions=3, workers=2)
-        assert FuzzConfig.from_dict(config.as_dict()) == config
-        label = config.label()
-        assert "partitioned" in label and "p3" in label and "j2" in label
-        with pytest.raises(SimulationError):
-            FuzzConfig(check="partitioned", technique="parallel-best",
-                       partitions=2)
-        with pytest.raises(SimulationError):
-            FuzzConfig(check="partitioned", technique="zero-lcc",
-                       partitions=1)
-        # partitions leaks into no other check.
-        with pytest.raises(SimulationError):
-            FuzzConfig(check="history", partitions=2)
-
     def test_from_dict_upgrades_pre_schema_dicts(self):
-        # Corpus entries written before the partitioned axis carry no
-        # ``partitions`` key and no ``schema`` field; those load as
-        # schema 1 through the upgrade shims and refill defaults.
+        # The committed corpus entries carry no ``schema`` field and
+        # the since-removed ``workers: 1`` axis; those load as schema
+        # 1 through the upgrade shims, which drop the axis.
         old = {"check": "packed", "technique": "zero-lcc",
                "backend": "python", "word_width": 16,
                "batch_size": 0, "workers": 1}
         config = FuzzConfig.from_dict(old)
-        assert config.partitions == 1
+        assert "workers" not in config.as_dict()
         assert config.as_dict()["schema"] == CONFIG_SCHEMA
         assert FuzzConfig.from_dict(config.as_dict()) == config
+        assert config == FuzzConfig.from_dict(dict(old, partitions=1))
+
+    @pytest.mark.parametrize("removed,name", [
+        ({"partitions": 3}, "partitions"),
+        ({"workers": 2}, "workers"),
+        ({"check": "partitioned", "partitions": 2}, "partitioned"),
+    ])
+    def test_from_dict_rejects_removed_axes(self, removed, name):
+        # Schema 3 dropped the process-pool and partition-executor
+        # axes; a config that needed either names an engine that no
+        # longer exists and must not replay as something else.
+        data = {"schema": 2, "check": "packed", "technique": "zero-lcc",
+                "backend": "python", "word_width": 16,
+                "batch_size": 0, "workers": 1, **removed}
+        with pytest.raises(SimulationError, match=name):
+            FuzzConfig.from_dict(data)
 
     def test_from_dict_rejects_unknown_fields(self):
         # Silently ignoring unknown keys made corpus replay fragile: a
@@ -115,7 +114,9 @@ class TestFuzzConfig:
 
     def test_schema_field_does_not_change_entry_ids(self):
         # Committed corpus filenames are content hashes; the schema
-        # marker is metadata and must stay out of the identity.
+        # marker is metadata and must stay out of the identity, and the
+        # removed ``workers`` axis is hashed at its only value so the
+        # committed names survive its removal.
         circuit = random_dag_circuit(5, num_inputs=2, num_gates=4)
         config = FuzzConfig(check="history", technique="parallel-best")
         entry = entry_from_failure(
@@ -124,6 +125,7 @@ class TestFuzzConfig:
         assert "schema" in entry.as_dict()["config"]
         stripped = {k: v for k, v in config.as_dict().items()
                     if k != "schema"}
+        stripped["workers"] = 1
         import hashlib
         import json as json_mod
         payload = json_mod.dumps(
@@ -155,13 +157,6 @@ class TestFuzzConfig:
             covered |= config.surfaces()
         assert covered == set(SURFACES)
 
-    def test_sampling_draws_partitioned_points(self):
-        configs = sample_configs(random.Random(7), 60)
-        partitioned = [c for c in configs if c.check == "partitioned"]
-        assert partitioned
-        assert all(c.partitions >= 2 for c in partitioned)
-        assert all(c.technique == "zero-lcc" for c in partitioned)
-
 
 class TestRunCheck:
     @pytest.fixture(scope="class")
@@ -178,12 +173,7 @@ class TestRunCheck:
         FuzzConfig(check="packed", technique="zero-lcc"),
         FuzzConfig(check="packed", technique="pcset", batch_size=3),
         FuzzConfig(check="faults", technique="parallel-best",
-                   workers=2),
-        FuzzConfig(check="partitioned", technique="zero-lcc",
-                   partitions=3),
-        FuzzConfig(check="partitioned", technique="zero-lcc",
-                   partitions=2, workers=2, batch_size=2,
-                   word_width=8),
+                   tiles=2),
     ], ids=lambda c: c.label())
     def test_healthy_tree_passes(self, triple, config):
         circuit, vectors = triple
@@ -253,18 +243,6 @@ class TestMutationIsCaught:
                 with pytest.raises(AssertionError):
                     replay_entry(entry)
 
-    def test_partition_exchange_bug_caught_directly(self):
-        circuit = random_dag_circuit(11, num_inputs=4, num_gates=14)
-        vectors = vectors_for(circuit, 8, seed=3)
-        config = FuzzConfig(check="partitioned", technique="zero-lcc",
-                            partitions=2, word_width=8)
-        assert run_check(circuit, vectors, config) > 0
-        with inject_partition_bug():
-            with pytest.raises(AssertionError):
-                run_check(circuit, vectors, config)
-        # Restored on exit (including the staticmethod binding).
-        assert run_check(circuit, vectors, config) > 0
-
     def test_tile_boundary_bug_caught_directly(self):
         circuit = random_dag_circuit(11, num_inputs=4, num_gates=14)
         # Tiles are clamped to ceil(vectors/width): more than one
@@ -279,9 +257,8 @@ class TestMutationIsCaught:
         assert run_check(circuit, vectors, config) > 0
 
     @pytest.mark.parametrize("inject,surface", [
-        (inject_partition_bug, "partitioned"),
         (inject_tile_bug, "tiled"),
-    ], ids=["partition-exchange", "tile-boundary"])
+    ], ids=["tile-boundary"])
     def test_extended_campaign_catches_surface_bug(
         self, inject, surface
     ):
@@ -456,8 +433,6 @@ class TestSequentialAxis:
         with pytest.raises(SimulationError):
             FuzzConfig(check="sequential", technique="parallel-best")
         assert set(SEQUENTIAL_ENGINES) == {"lcc", "parallel", "pcset"}
-        # lcc may fan the core out over partitions.
-        FuzzConfig(check="sequential", technique="lcc", partitions=2)
 
     def test_sampling_draws_sequential_points(self):
         configs = sample_configs(random.Random(5), 80)

@@ -60,8 +60,8 @@ def fake_measure(point, *, vectors=1024, repeats=3):
 
 class TestBenchLoader:
     def test_loads_every_committed_snapshot(self):
-        for name in ("packed", "shards", "partition", "telemetry",
-                     "tiled", "replay", "probes"):
+        for name in ("packed", "telemetry", "tiled", "replay",
+                     "probes"):
             payload = load_bench(name, REPO_ROOT)
             assert payload is not None, name
             assert isinstance(payload["metrics"], dict)
@@ -226,14 +226,12 @@ class TestPerfPhase:
         # (python backend keeps this cheap).
         for surface, technique in [
             ("scalar", "parallel-best"), ("packed", "zero-lcc"),
-            ("tiled", "zero-lcc"), ("partitioned", "zero-lcc"),
-            ("probed", "zero-lcc"),
+            ("tiled", "zero-lcc"), ("probed", "zero-lcc"),
         ]:
             point = PerfPoint(
                 surface=surface, technique=technique,
                 backend="python", word_width=8,
                 tiles=2 if surface == "tiled" else 1,
-                partitions=2 if surface == "partitioned" else 1,
                 probes=surface == "probed",
             )
             sample = measure_point(point, vectors=64, repeats=1)

@@ -4,8 +4,7 @@ The contract under test: a simulator built with ``probes=`` counts
 per-net switching *inside the generated program* and its
 ``activity_report()`` is bit-identical to the history-based
 reference — on every backend, word width, and execution shape
-(scalar, batched, packed, prepared, partitioned, sharded fault
-grading) — plus the streaming waveform path (``capture_trace``,
+(scalar, batched, packed, prepared, fault grading) — plus the streaming waveform path (``capture_trace``,
 replay ``--vcd`` with byte-identical checkpoint resume).
 """
 
@@ -225,20 +224,6 @@ class TestLCCProbes:
         sim.apply_vectors(vectors)
         assert sim.activity_report().toggles == want
 
-    @pytest.mark.parametrize("partitions", [2, 3])
-    def test_partitioned_matches_monolithic(self, partitions):
-        circuit = random_dag_circuit(91, num_inputs=5, num_gates=40)
-        vectors = [list(v) for v in vectors_for(circuit, 33, seed=15)]
-        want = lcc_reference(circuit, vectors)
-        sim = LCCSimulator(
-            circuit, partitions=partitions, probes=True
-        )
-        sim.probe_reset()
-        sim.apply_vectors(vectors)
-        report = sim.activity_report()
-        assert report.vectors == len(vectors)
-        assert report.toggles == want
-
     def test_tiles_unavailable_with_probes(self):
         with pytest.raises(SimulationError, match="tiles"):
             LCCSimulator(glitchy_circuit(), tiles=2, probes=True)
@@ -259,21 +244,6 @@ class TestFaultGradingActivity:
         assert report.activity.toggles == ref.toggles
         assert report.activity.functional == ref.functional
         assert report.activity.vectors == len(vectors)
-
-    def test_sharded_matches_single_process(self):
-        from repro.faults.simulator import run_fault_simulation
-
-        circuit, vectors = self._workload()
-        single = run_fault_simulation(circuit, vectors, probes=True)
-        sharded = run_fault_simulation(
-            circuit, vectors, workers=2, probes=True
-        )
-        assert sharded == single
-        assert sharded.activity is not None
-        assert sharded.activity.toggles == single.activity.toggles
-        assert (
-            sharded.activity.functional == single.activity.functional
-        )
 
     def test_no_probes_no_activity(self):
         from repro.faults.simulator import (

@@ -283,12 +283,9 @@ class TestReplay:
 
     @pytest.mark.parametrize("options", [
         {"tiles": 2},
-        {"partitions": 2},
-        {"partitions": 2, "partition_workers": 2},
         {"incremental": True},
         {"engine": "parallel", "tiles": 2},
-        {"engine": "pcset", "partitions": 2},
-    ])
+    ], ids=["tiles2", "incremental", "parallel-tiles2"])
     def test_option_threading_bit_identical(self, tmp_path, options):
         _, tape = _replay_setup(tmp_path, cycles=64)
         base = replay_tape(

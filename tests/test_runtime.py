@@ -169,6 +169,50 @@ class TestCMachine:
         with pytest.raises(BackendError, match="compilation failed"):
             CMachine(program)
 
+    def test_hung_compile_times_out(self, monkeypatch, tmp_path):
+        import time
+
+        from repro.codegen import runtime
+
+        # A compiler that hangs only when asked to link: the link step
+        # is what CMachine runs, while any compile-only probe still
+        # reaches the real compiler.
+        real_cc = have_c_compiler()
+        fake_cc = tmp_path / "hung-cc"
+        fake_cc.write_text(
+            "#!/bin/sh\n"
+            'for arg in "$@"; do\n'
+            '  if [ "$arg" = "-shared" ]; then\n'
+            '    echo "linking forever" >&2\n'
+            "    sleep 60\n"
+            "    exit 0\n"
+            "  fi\n"
+            "done\n"
+            f'exec "{real_cc}" "$@"\n'
+        )
+        fake_cc.chmod(0o755)
+        work_dir = tmp_path / "work"
+        work_dir.mkdir()
+        monkeypatch.setattr(runtime, "COMPILE_TIMEOUT_S", 0.5)
+        monkeypatch.setenv("CC", str(fake_cc))
+        try:
+            assert have_c_compiler(force=True) == str(fake_cc)
+            start = time.monotonic()
+            with pytest.raises(BackendError) as info:
+                CMachine(
+                    _counter_program(), work_dir=str(work_dir),
+                    use_cache=False,
+                )
+            assert time.monotonic() - start < 30
+            message = str(info.value)
+            assert "timed out after 0.5 s" in message
+            assert str(fake_cc) in message and "-shared" in message
+            assert "linking forever" in message
+            assert not list(work_dir.iterdir())
+        finally:
+            monkeypatch.undo()
+            have_c_compiler(force=True)
+
     def test_keep_artifacts(self, tmp_path):
         machine = CMachine(
             _counter_program(), keep_artifacts=True,

@@ -3,9 +3,8 @@
 Covers the contracts the instrumentation promises: span nesting and
 self-time bookkeeping, associative registry/snapshot merges, the
 snapshot -> diff -> merge cross-process round trip, the allocation-free
-disabled path, the CLI export surfaces (``--profile``, ``--metrics-out``
-and the ``profile`` subcommand), and merged per-worker counters and
-retry/degradation events in sharded fault grading.
+disabled path, and the CLI export surfaces (``--profile``,
+``--metrics-out`` and the ``profile`` subcommand).
 """
 
 import json
@@ -16,7 +15,6 @@ import pytest
 from repro import telemetry
 from repro.cli import main
 from repro.codegen.runtime import have_c_compiler
-from repro.faults.sharding import run_sharded_fault_simulation
 from repro.harness.vectors import vectors_for
 from repro.netlist.generators import ripple_carry_adder
 from repro.telemetry import MetricsRegistry
@@ -132,7 +130,7 @@ class TestSpans:
     def test_disabled_recording_is_noop(self):
         telemetry.counter("run.batches")
         telemetry.gauge("depth", 9)
-        telemetry.event("shard.retry")
+        telemetry.event("fuzz.failure")
         telemetry.record_phase("run", 1.0)
         snap = telemetry.snapshot()
         assert snap["counters"] == {}
@@ -196,7 +194,7 @@ class TestSnapshots:
     def test_derived_sections_always_present(self):
         snap = telemetry.snapshot()
         assert set(snap["packing"]) == {"packed_batches", "fallback"}
-        assert set(snap["sharding"]) == {"retries", "timeouts", "degraded"}
+        assert set(snap["pack"]) == {"tile", "shift"}
         assert set(snap["cache"]) == {"entries", "hits", "misses"}
 
     def test_cross_process_round_trip(self):
@@ -253,7 +251,7 @@ class TestSnapshots:
         telemetry.write_metrics(str(path))
         data = json.loads(path.read_text())
         assert data["counters"]["run.batches"] == 1
-        assert "packing" in data and "sharding" in data
+        assert "packing" in data and "activity" in data
 
 
 def _coverage_of(out: str) -> float:
@@ -278,7 +276,7 @@ class TestCLI:
         ]) == 0
         assert f"wrote metrics to {path}" in capsys.readouterr().out
         data = json.loads(path.read_text())
-        for section in ("cache", "packing", "sharding", "counters",
+        for section in ("cache", "packing", "activity", "counters",
                         "phases", "gauges"):
             assert section in data
         assert data["phases"], data  # the pipeline was instrumented
@@ -312,68 +310,6 @@ class TestCLI:
         assert data["cache"]["misses"] >= 1  # fresh compile
         assert "emit" in data["phases"]
         assert data["counters"]["run.vectors"] >= 32
-
-
-class TestShardedTelemetry:
-    def _workload(self):
-        circuit = ripple_carry_adder(3)
-        return circuit, vectors_for(circuit, 14, seed=5)
-
-    def test_workers4_merges_counters_and_retry_events(self):
-        circuit, vectors = self._workload()
-        telemetry.enable(reset_state=True)
-        report = run_sharded_fault_simulation(
-            circuit, vectors, workers=4, shards=4, word_width=16,
-            mp_start="fork", _fail_shards={1},
-        )
-        # Satellite: per-worker BatchCounters merge into the report.
-        assert report.counters.batches >= 1
-        assert report.counters.vectors > 0
-        assert report.counters.seconds > 0
-        stats = report.sharding_stats()
-        assert stats["events"]["retries"] >= 1
-        assert stats["events"]["degraded"] == 0
-        # Parent-side events land in the registry...
-        counters = telemetry.registry().counters
-        assert counters["events.shard.retry"] >= 1
-        # ...and worker-shipped phase deltas merge into the parent: the
-        # fault screens ran in worker processes, not here.
-        snap = telemetry.snapshot()
-        screens = [p for p in snap["phases"] if "fault.screen" in p]
-        assert screens, snap["phases"]
-        assert snap["sharding"]["retries"] >= 1
-        # Worker compilations surface through the merged cache section.
-        assert snap["cache"]["misses"] >= 1
-
-    def test_workers4_disabled_still_reports_events(self):
-        circuit, vectors = self._workload()
-        assert not telemetry.enabled()
-        report = run_sharded_fault_simulation(
-            circuit, vectors, workers=4, shards=4, word_width=16,
-            mp_start="fork", _fail_shards={1},
-        )
-        assert report.counters.vectors > 0
-        assert report.sharding_stats()["events"]["retries"] >= 1
-        assert telemetry.registry().counters == {}  # nothing leaked
-
-    def test_degraded_pool_records_event(self, monkeypatch):
-        from repro.faults import sharding as sharding_module
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no process spawning here")
-
-        monkeypatch.setattr(
-            sharding_module, "ProcessPoolExecutor", broken_pool
-        )
-        circuit, vectors = self._workload()
-        telemetry.enable(reset_state=True)
-        report = run_sharded_fault_simulation(
-            circuit, vectors, workers=2, word_width=16,
-        )
-        assert report.degraded
-        assert report.sharding_stats()["events"]["degraded"] == 1
-        assert telemetry.registry().counters["events.shard.degraded"] == 1
-        assert telemetry.snapshot()["sharding"]["degraded"] == 1
 
 
 class TestActivityTelemetry:
@@ -454,19 +390,3 @@ class TestActivityTelemetry:
         telemetry.merge_snapshot(delta)
         merged = telemetry.snapshot()["activity"]
         assert merged == delta["activity"]
-
-    def test_sharded_probe_counters_merge_into_parent(self):
-        telemetry.enable()
-        circuit = ripple_carry_adder(3)
-        vectors = vectors_for(circuit, 8, seed=3)
-        report = run_sharded_fault_simulation(
-            circuit, vectors, workers=2, word_width=16,
-            mp_start="fork", probes=True,
-        )
-        assert report.activity is not None
-        assert report.activity.vectors == len(vectors)
-        section = telemetry.snapshot()["activity"]
-        # Every worker grades its own good machine, so the merged
-        # totals are at least one full instrumented pass.
-        assert section["vectors"] >= report.activity.vectors
-        assert section["toggles"] >= report.activity.total_toggles()

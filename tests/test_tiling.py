@@ -32,7 +32,6 @@ from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator
 from repro.netlist.random_circuits import random_dag_circuit
 from repro.parallel.simulator import ParallelSimulator
-from repro.partition.executor import PartitionedSimulator
 from repro.pcset.simulator import PCSetSimulator
 
 BACKENDS = ("python",) + (("c",) if have_c_compiler() else ())
@@ -230,20 +229,6 @@ class TestLanedShiftExecution:
         assert got == want
 
 
-class TestPartitionTiledExchange:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("tiles", [2, "auto"])
-    def test_partitioned_matches_monolithic(self, backend, tiles):
-        circuit = random_dag_circuit(41, num_inputs=5, num_gates=30)
-        vectors = vectors_for(circuit, 37, seed=41)
-        mono = LCCSimulator(circuit, word_width=8,
-                            backend=backend).apply_vectors(vectors)
-        part = PartitionedSimulator(circuit, partitions=3,
-                                    word_width=8, backend=backend,
-                                    tiles=tiles)
-        assert part.apply_vectors(vectors) == mono
-
-
 class TestTiledFaultGrading:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_report_identity(self, backend):
@@ -255,14 +240,6 @@ class TestTiledFaultGrading:
             tiled = run_fault_simulation(circuit, vectors, word_width=8,
                                          backend=backend, tiles=tiles)
             assert tiled == base
-
-    def test_sharded_tiled_identity(self):
-        circuit = random_dag_circuit(52, num_inputs=4, num_gates=18)
-        vectors = vectors_for(circuit, 30, seed=52)
-        base = run_fault_simulation(circuit, vectors, word_width=8)
-        sharded = run_fault_simulation(circuit, vectors, word_width=8,
-                                       tiles=2, workers=2)
-        assert sharded == base
 
 
 class TestNumpyBackend:
