@@ -27,7 +27,7 @@ import time
 
 from _common import NUM_VECTORS, circuit, write_report, write_snapshot
 from repro.activity import collect_activity
-from repro.codegen.runtime import have_c_compiler
+from repro.codegen.runtime import CMachine, have_c_compiler
 from repro.errors import SimulationError
 from repro.harness.tables import format_table
 from repro.harness.timing import TimingResult
@@ -57,10 +57,11 @@ def _plain_run_prepared(self, prepared) -> None:
     """The pre-probe ``run_prepared``: bare dispatch, no probe hooks."""
     if not self._settled:
         raise SimulationError("call reset() before running")
-    if prepared[0] == "c":
-        self.machine.run_packed(prepared[1], prepared[2])
+    machine, [(payload, passes, _vectors)], _seeds = prepared
+    if isinstance(machine, CMachine):
+        machine.run_packed(payload, passes)
         return
-    self.machine.run_block(prepared[1], masked=True)
+    machine.run_block(payload, masked=True)
 
 
 def _median(values: list[float]) -> float:

@@ -139,10 +139,13 @@ def collect_activity(
     count activity with compiled-in probes (``probes=`` at
     construction, then ``activity_report()``) instead.
     """
+    from repro.simbase import CompiledSimulator
+
     engine = type(simulator).__name__
     if hasattr(simulator, "apply_vector_history"):
         step = simulator.apply_vector_history
-    elif hasattr(simulator, "apply_vector"):
+    elif (hasattr(simulator, "apply_vector")
+            and not isinstance(simulator, CompiledSimulator)):
         def step(vector):
             return simulator.apply_vector(vector, record=True)
     else:

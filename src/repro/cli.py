@@ -116,11 +116,7 @@ def resolve_sequential(spec: str, scale: float = 1.0):
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.codegen.runtime import (
-        have_c_compiler,
-        have_numpy,
-        program_cache,
-    )
+    from repro.codegen.runtime import have_c_compiler, program_cache
 
     circuit = resolve_circuit(args.circuit, args.scale)
     report = circuit_report(circuit, include_alignments=not args.fast)
@@ -132,9 +128,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     )
     compiler = have_c_compiler()
     report["c compiler"] = compiler if compiler else "none (python backend only)"
-    report["numpy backend"] = (
-        "available" if have_numpy() is not None else "not installed"
-    )
     if args.cones:
         report.update(_cone_report(circuit, args.backend))
     width = max(len(k) for k in report)
@@ -745,7 +738,7 @@ def main(argv: Optional[list[str]] = None) -> int:
              "rebuilding after a synthetic single-gate edit",
     )
     p_stats.add_argument("-b", "--backend", default="python",
-                         choices=["python", "c", "numpy"])
+                         choices=["python", "c"])
     _add_telemetry_args(p_stats)
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -772,7 +765,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_sim.add_argument("-n", "--vectors", type=int, default=10)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("-b", "--backend", default="python",
-                       choices=["python", "c", "numpy"])
+                       choices=["python", "c"])
     p_sim.add_argument("-w", "--word-width", type=int, default=32,
                        choices=[8, 16, 32, 64])
     _add_tiles_arg(p_sim)
@@ -849,7 +842,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_faults.add_argument("--seed", type=int, default=0)
     p_faults.add_argument("--show-undetected", action="store_true")
     p_faults.add_argument("-b", "--backend", default="python",
-                          choices=["python", "c", "numpy"])
+                          choices=["python", "c"])
     p_faults.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
     _add_tiles_arg(p_faults)
@@ -867,7 +860,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--repeat", type=int, default=3)
     p_bench.add_argument("-b", "--backend", default="python",
-                         choices=["python", "c", "numpy"])
+                         choices=["python", "c"])
     p_bench.add_argument("-w", "--word-width", type=int, default=32,
                          choices=[8, 16, 32, 64])
     _add_tiles_arg(p_bench)
@@ -924,8 +917,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_fc.add_argument(
         "--backends", default=None,
         help="comma-separated backends (default: every usable one — "
-             "python, plus c with a compiler, plus numpy when "
-             "importable)",
+             "python, plus c with a compiler)",
     )
     p_fc.add_argument(
         "--configs-per-circuit", type=int, default=4,
@@ -1044,7 +1036,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_replay.add_argument("-e", "--engine", default="lcc",
                           choices=["lcc", "parallel", "pcset"])
     p_replay.add_argument("-b", "--backend", default="python",
-                          choices=["python", "c", "numpy"])
+                          choices=["python", "c"])
     p_replay.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
     _add_tiles_arg(p_replay)

@@ -3,18 +3,22 @@
 The original work generated C and compiled it with the system compiler;
 this emitter restores that: the program becomes a shared library with a
 ``step`` entry point operating on fixed-width unsigned words
-(``uint8_t``..``uint64_t`` according to the program's word width),
-batch drivers ``run_block`` (one vector per pass) and
-``run_packed_block`` (pattern-lane packed: one pass per ``word_width``
-vectors, see :mod:`repro.codegen.packing`), plus
-``dump_state``/``load_state`` accessors used to seed and inspect the
-persistent variables.  Masking is free — the C types wrap naturally —
+(``uint8_t``..``uint64_t`` according to the program's word width), the
+batch entry ``run_block`` (one pass per element of the batch — a
+scalar vector, or a pattern-packed group of lane words, see
+:mod:`repro.codegen.packing`), plus ``dump_state``/``load_state``
+accessors used to seed and inspect the persistent variables.  Every
+exported name carries the ``repro_`` prefix of the
+:data:`~repro.codegen.program.ENTRY_POINTS` table, so the library
+loads with a plain ``cc -shared -fPIC`` and no symbol of it collides
+with the C library's.  Masking is free — the C types wrap naturally —
 so the emitted expressions match the paper's listings one for one.
 """
 
 from __future__ import annotations
 
 from repro.codegen.program import (
+    C_SYMBOL_PREFIX,
     ENTRY_POINTS,
     Assign,
     Bin,
@@ -197,17 +201,21 @@ def emit_c(program: Program, tiles: int = 1) -> str:
             lines.append(f"static word {name}[{tiles}] = {{{fill}}};")
     lines.append("")
     num_outputs = interface.output_words
-    lines.append(f"int num_state(void) {{ return {interface.state_words}; }}")
-    lines.append(f"int num_outputs(void) {{ return {num_outputs}; }}")
+    symbol = {ep.name: ep.c_symbol for ep in ENTRY_POINTS}
+    lines.append(f"int {C_SYMBOL_PREFIX}num_state(void) "
+                 f"{{ return {interface.state_words}; }}")
+    lines.append(f"int {C_SYMBOL_PREFIX}num_outputs(void) "
+                 f"{{ return {num_outputs}; }}")
     lines.append("")
     if tiles == 1:
-        lines.append("void step(const word *V, word *OUT) {")
+        lines.append(f"void {symbol['step']}(const word *V, word *OUT) {{")
     else:
         # restrict lets the vectorizer assume V/OUT never alias the
         # static state arrays — without it every 8-iteration tile loop
         # gets a runtime overlap check that eats the SIMD win.
         lines.append(
-            "void step(const word *restrict V, word *restrict OUT) {"
+            f"void {symbol['step']}(const word *restrict V, "
+            "word *restrict OUT) {"
         )
     if program.temp_vars:
         if tiles == 1:
@@ -231,37 +239,28 @@ def emit_c(program: Program, tiles: int = 1) -> str:
     lines.append("")
     num_inputs = max(1, interface.vector_words)
     lines.append(f"#define NUM_INPUTS {num_inputs}")
-    symbol = {ep.name: ep.c_symbol for ep in ENTRY_POINTS}
     lines.append(f"#define NUM_OUTPUTS {num_outputs}")
     lines.append(f"static word OUT_SCRATCH[{max(1, num_outputs)}];")
     # The batch driver: the whole vector loop stays inside the shared
     # library.  OUT == NULL discards outputs (the timing fast path);
-    # otherwise each vector's emitted words land at OUT + i*NUM_OUTPUTS
-    # in the caller-supplied buffer.
+    # otherwise each pass's emitted words land at OUT + i*NUM_OUTPUTS
+    # in the caller-supplied buffer.  A pattern-packed batch is the
+    # same loop over groups of lane words: packing is a data-layout
+    # contract, not different code.
+    step = symbol["step"]
     lines.append(f"void {symbol['run_block']}(const word *V, long n,"
                  " word *OUT) {")
     lines.append("    long i;")
     lines.append("    if (OUT) {")
     lines.append("        for (i = 0; i < n; i++) {")
-    lines.append("            step(V + i * NUM_INPUTS,"
+    lines.append(f"            {step}(V + i * NUM_INPUTS,"
                  " OUT + i * NUM_OUTPUTS);")
     lines.append("        }")
     lines.append("    } else {")
     lines.append("        for (i = 0; i < n; i++) {")
-    lines.append("            step(V + i * NUM_INPUTS, OUT_SCRATCH);")
+    lines.append(f"            {step}(V + i * NUM_INPUTS, OUT_SCRATCH);")
     lines.append("        }")
     lines.append("    }")
-    lines.append("}")
-    lines.append("")
-    # Pattern-packed batch entry: each of the n "vectors" is a group of
-    # per-input lane words (bit j of word k = input k of packed vector
-    # j), so one step evaluates up to a whole word of vectors.  Packing
-    # is a data-layout contract — the per-pass code is the same — but
-    # the named entry point keeps the ABI explicit and mirrors the
-    # Python backend's packed opcode.
-    lines.append(f"void {symbol['run_packed_block']}(const word *V, long n,"
-                 " word *OUT) {")
-    lines.append(f"    {symbol['run_block']}(V, n, OUT);")
     lines.append("}")
     lines.append("")
     lines.append(f"void {symbol['dump_state']}(word *S) {{")

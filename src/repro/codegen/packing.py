@@ -317,6 +317,14 @@ class PatternBlock:
             groups=-(-self.count // self.word_width) + fill, extra=extra,
         )
 
+    def part(self, start: int, count: int) -> "PatternBlock":
+        """Vectors ``start .. start+count-1`` as a block of their own."""
+        mask = (1 << count) - 1
+        return PatternBlock(
+            [(plane >> start) & mask for plane in self.planes],
+            count, self.word_width,
+        )
+
     def __len__(self) -> int:
         return -(-self.groups // self.tiles)
 

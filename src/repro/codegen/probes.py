@@ -5,7 +5,7 @@ simulation program and a :class:`ProbeSpec`, the ``instrument_*``
 functions append *probe statements* to the program body: per-net
 toggle counters accumulated with ``popcount`` over whole lane words,
 so counting costs one or two extra instructions per net per pass on
-every backend (Python, C, numpy) instead of a host-side decode of the
+every backend (Python and C) instead of a host-side decode of the
 full history.
 
 Per technique:
@@ -15,10 +15,10 @@ LCC (zero-delay)
     mask: bit ``j`` set iff lane ``j`` of the pass holds a real
     vector.  The scalar path passes 1 (lane 0 only); the pattern-lane
     packed path gets the mask *for free* — appending 1 to every
-    scalar vector before :func:`~repro.codegen.packing.pack_patterns`
-    transposes into exactly the occupancy word, with partial last
-    groups, the ``packed_apply`` fill group and tile padding all
-    landing on 0.  Per net with value word ``x`` and persistent
+    scalar vector makes it one all-ones bit plane of the
+    :class:`~repro.codegen.packing.PatternBlock`, which lays out into
+    exactly the occupancy word, with partial last groups, the
+    ``packed_apply`` fill group and tile padding all landing on 0.  Per net with value word ``x`` and persistent
     previous-value bit ``pv``::
 
         d   = (x ^ ((x << 1) | pv)) & en      # lane j vs lane j-1
@@ -59,7 +59,7 @@ PC-set method (§2)
 Counters are persistent state variables *appended after* the
 technique's own state, so a steady-state encoding extends with zero
 padding, and they accumulate modulo ``2**word_width`` identically on
-every backend (Python masks at ``dump_state``; C and numpy wrap).
+every backend (Python masks at ``dump_state``; C wraps).
 :class:`ProbeRuntime` drains them into unbounded Python accumulators
 often enough that no counter can wrap between drains.
 """

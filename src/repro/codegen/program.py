@@ -46,6 +46,7 @@ __all__ = [
     "ProgramStats",
     "EntryPoint",
     "ENTRY_POINTS",
+    "C_SYMBOL_PREFIX",
     "MachineInterface",
     "retarget_expr",
     "retarget_stmt",
@@ -496,11 +497,6 @@ class Program:
 
         return emit_c(self, tiles=tiles)
 
-    def numpy_source(self, tiles: int = 1) -> str:
-        from repro.codegen.numpy_emitter import emit_numpy
-
-        return emit_numpy(self, tiles=tiles)
-
     def __repr__(self) -> str:
         return (
             f"Program({self.name!r}, W={self.word_width}, "
@@ -559,7 +555,10 @@ class EntryPoint:
     protocol; ``c_symbol`` is the exported function name on the C
     backend.  Both emitters and the runtime lower from this single
     table, so adding an entry point is a one-line change here instead
-    of three parallel edits.
+    of three parallel edits.  Every C symbol carries the
+    :data:`C_SYMBOL_PREFIX`: a bare ``step`` would collide with
+    glibc's legacy ``step`` export, and the library's own
+    ``run_block`` loop would call into libc.
     """
 
     __slots__ = ("name", "opcode", "c_symbol")
@@ -573,13 +572,15 @@ class EntryPoint:
         return f"EntryPoint({self.name}, op={self.opcode})"
 
 
+#: Prefix of every symbol a generated C library exports.
+C_SYMBOL_PREFIX = "repro_"
+
 #: The complete entry-point surface every backend must provide.
 ENTRY_POINTS = (
-    EntryPoint("step", 0, "step"),
-    EntryPoint("dump_state", 1, "dump_state"),
-    EntryPoint("load_state", 2, "load_state"),
-    EntryPoint("run_block", 3, "run_block"),
-    EntryPoint("run_packed_block", 4, "run_packed_block"),
+    EntryPoint("step", 0, C_SYMBOL_PREFIX + "step"),
+    EntryPoint("dump_state", 1, C_SYMBOL_PREFIX + "dump_state"),
+    EntryPoint("load_state", 2, C_SYMBOL_PREFIX + "load_state"),
+    EntryPoint("run_block", 3, C_SYMBOL_PREFIX + "run_block"),
 )
 
 OPCODES = {ep.name: ep.opcode for ep in ENTRY_POINTS}

@@ -12,15 +12,12 @@ packing/unpacking of state is needed.  The protocol:
 - ``gen.send((3, VS, OUT))`` runs the whole batch ``VS`` with the
   vector loop *inside* the generated code, appending every emitted
   word to the caller-supplied list ``OUT`` (flat, in vector order) and
-  returning ``OUT``;
-- ``gen.send((4, GS, OUT))`` is the pattern-packed batch entry
-  (``run_packed_block``): each element of ``GS`` is a *group* of
-  per-input lane words — bit ``j`` of word ``k`` carrying input ``k``
-  of packed vector ``j`` — so one pass through the statement body
-  evaluates up to ``word_width`` vectors.  The loop itself is the
-  op-3 loop (packing is a data-layout contract, not different code);
-  the distinct opcode keeps the entry point explicit and lets the
-  runtime account lanes rather than passes.
+  returning ``OUT``.  A pattern-packed batch uses the same opcode:
+  each element of ``VS`` is then a *group* of per-input lane words —
+  bit ``j`` of word ``k`` carrying input ``k`` of packed vector ``j``
+  — so one pass through the statement body evaluates up to
+  ``word_width`` vectors (packing is a data-layout contract, not
+  different code).
 
 The batch opcode is what makes ``Machine.step_many`` cheap on this
 backend: one ``send`` drives thousands of vectors, so the per-vector
@@ -241,8 +238,7 @@ def emit_python(program: Program, tiles: int = 1) -> str:
     lines.append("    cmd = yield None")
     lines.append("    while 1:")
     lines.append("        op = cmd[0]")
-    lines.append(f"        if op == {op['step']} or op == {op['run_block']}"
-                 f" or op == {op['run_packed_block']}:")
+    lines.append(f"        if op == {op['step']} or op == {op['run_block']}:")
     lines.append(f"            if op == {op['step']}:")
     lines.append("                VS = (cmd[1],)")
     lines.append("                OUT = []")

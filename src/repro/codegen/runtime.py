@@ -1,6 +1,6 @@
 """Compile and execute generated programs.
 
-Three backends share the :class:`Machine` interface:
+Two backends share the :class:`Machine` interface:
 
 - :class:`PythonMachine` — ``compile()``/``exec`` of the generated
   Python coroutine.  Always available; this is what the test suite and
@@ -9,9 +9,6 @@ Three backends share the :class:`Machine` interface:
   system C compiler into a shared library, and calls it through
   ``ctypes``.  This restores the genuinely compiled character of the
   original work; use it for absolute performance numbers.
-- :class:`NumpyMachine` — evaluates the same program IR over
-  fixed-width numpy arrays (optional: present only when numpy is
-  importable, see :func:`have_numpy`).
 
 ``compile_program(program, backend=...)`` picks one.  Every backend
 accepts ``tiles=K`` (tiled execution: each net holds K words, one pass
@@ -32,11 +29,11 @@ generated ``run_block`` routine each backend compiles in:
 - ``run_packed_block(groups, out=None)`` drives *pattern-packed*
   passes — per-input lane words carrying up to ``word_width`` scalar
   vectors each, as a :class:`~repro.codegen.packing.PatternBlock` or
-  a list of rows — through the generated packed entry point (Python
-  opcode 4, C ``run_packed_block``).  Row words are validated against
-  the word width up front (silent ctypes truncation would corrupt
-  whole lanes, not just one vector); a block's words fit by
-  construction and reach the C library without a copy.
+  a list of rows — through the same generated ``run_block`` loop.
+  Row words are validated against the word width up front (silent
+  ctypes truncation would corrupt whole lanes, not just one vector); a
+  block's words fit by construction and reach the C library without a
+  copy.
 
 Every batch updates ``machine.counters`` (vectors run, wall time,
 vectors/second) so harness and benchmark reports can quote throughput
@@ -84,7 +81,6 @@ __all__ = [
     "Machine",
     "PythonMachine",
     "CMachine",
-    "NumpyMachine",
     "BatchCounters",
     "ProgramCache",
     "program_cache",
@@ -93,7 +89,6 @@ __all__ = [
     "cache_fingerprint",
     "compile_program",
     "have_c_compiler",
-    "have_numpy",
 ]
 
 _C_COMPILER: Optional[str] = None
@@ -103,30 +98,6 @@ _C_COMPILER_PROBED = False
 #: measured (full-scale c6288 parallel-trim at -O1) takes about 51 s;
 #: a compiler still running after ten times that is taken to be hung.
 COMPILE_TIMEOUT_S = 600.0
-
-_NUMPY = None
-_NUMPY_PROBED = False
-
-
-def have_numpy(force: bool = False):
-    """The ``numpy`` module if importable, else ``None`` (cached probe).
-
-    The numpy backend is optional: nothing in the core library imports
-    numpy at module level, so environments without it lose only
-    ``backend="numpy"``.
-    """
-    global _NUMPY, _NUMPY_PROBED
-    if _NUMPY_PROBED and not force:
-        return _NUMPY
-    _NUMPY_PROBED = True
-    try:
-        import numpy
-    except ImportError:
-        _NUMPY = None
-    else:
-        _NUMPY = numpy
-    return _NUMPY
-
 
 def have_c_compiler(force: bool = False) -> Optional[str]:
     """Path of a usable C compiler, or ``None``.
@@ -668,7 +639,7 @@ class PythonMachine(Machine):
                 self._validate_group(index, group)
         sink = [] if out is None else out
         start = time.perf_counter()
-        self._gen.send((4, groups, sink))
+        self._gen.send((3, groups, sink))
         self._record_batch(count, time.perf_counter() - start)
         return out
 
@@ -682,50 +653,6 @@ class PythonMachine(Machine):
             )
         mask = self.program.word_mask
         self._gen.send((2, [value & mask for value in values]))
-
-
-class NumpyMachine(PythonMachine):
-    """Generated numpy backend: the IR evaluated over fixed-width arrays.
-
-    Shares the coroutine protocol (and therefore every driver method)
-    with :class:`PythonMachine`; only the generated source differs —
-    each state variable is an array of ``tiles`` unsigned words, so
-    the array operations carry the tile loop.  State crosses the
-    boundary as flat Python-int lists, keeping the ``Machine``
-    interface backend-agnostic.
-    """
-
-    def __init__(
-        self, program: Program, *, tiles: int = 1, use_cache: bool = True
-    ) -> None:
-        np = have_numpy()
-        if np is None:
-            raise BackendError(
-                "numpy is not installed; use the python or c backend"
-            )
-        Machine.__init__(self, program, tiles)
-        self.source = program.numpy_source(tiles=tiles)
-        filename = f"<repro:{program.name}:numpy>"
-        code = None
-        key = None
-        if use_cache:
-            key = (cache_fingerprint(program, self.source, tiles),
-                   "numpy", "")
-            code = _PROGRAM_CACHE.get(key)
-        if code is None:
-            with telemetry.span("cc", backend="numpy",
-                                program=program.name):
-                code = compile(self.source, filename, "exec")
-            if key is not None:
-                _PROGRAM_CACHE.put(key, code)
-        namespace: dict = {}
-        exec(code, namespace)
-        self._gen = namespace["machine"](np)
-        next(self._gen)  # prime
-
-    def dump_state(self) -> list[int]:
-        # tolist() of unsigned arrays already yields Python ints.
-        return list(self._gen.send((1,)))
 
 
 class CMachine(Machine):
@@ -837,24 +764,18 @@ class CMachine(Machine):
         ]
         entry["dump_state"].argtypes = [ctypes.POINTER(word)]
         entry["load_state"].argtypes = [ctypes.POINTER(word)]
-        for batch_entry in ("run_block", "run_packed_block"):
-            entry[batch_entry].argtypes = [
-                ctypes.POINTER(word), ctypes.c_long, ctypes.POINTER(word)
-            ]
-        self._num_outputs = int(self._lib.num_outputs())
+        entry["run_block"].argtypes = [
+            ctypes.POINTER(word), ctypes.c_long, ctypes.POINTER(word)
+        ]
         self._v_buffer = (word * max(1, self.num_inputs))()
-        self._out_buffer = (word * max(1, self._num_outputs))()
+        self._out_buffer = (word * max(1, self.num_outputs))()
         self._state_buffer = (word * max(1, self.num_state))()
 
     def _compile(
         self, compiler: str, opt_level: str, c_path: str, so_path: str
     ) -> None:
-        # -Bsymbolic binds the intra-library run_block -> step call at
-        # link time; some sandboxed loaders cannot lazily resolve PLT
-        # entries of dlopen'd libraries and would crash otherwise.
         cmd = [
             compiler, *opt_level.split(), "-shared", "-fPIC",
-            "-Wl,-Bsymbolic", "-Wl,-z,now",
             c_path, "-o", so_path,
         ]
         # A session of its own lets a timeout kill the driver's
@@ -887,7 +808,7 @@ class CMachine(Machine):
         for i, value in enumerate(vector):
             buf[i] = value  # ctypes truncates to the word width
         self._entry["step"](buf, self._out_buffer)
-        return list(self._out_buffer[: self._num_outputs])
+        return list(self._out_buffer[: self.num_outputs])
 
     def pack_block(self, vectors):
         """Marshal a vector batch into one contiguous C buffer.
@@ -954,9 +875,9 @@ class CMachine(Machine):
         if out is None:
             self.run_packed(packed, len(vectors))
             return None
-        buffer = (self._word * max(1, len(vectors) * self._num_outputs))()
+        buffer = (self._word * max(1, len(vectors) * self.num_outputs))()
         self.run_packed(packed, len(vectors), buffer)
-        out.extend(buffer[: len(vectors) * self._num_outputs])
+        out.extend(buffer[: len(vectors) * self.num_outputs])
         return out
 
     def run_packed_block(
@@ -973,15 +894,15 @@ class CMachine(Machine):
         count = self._packed_count(groups, vectors_represented)
         start = time.perf_counter()
         if out is None:
-            self._entry["run_packed_block"](buffer, len(groups), None)
+            self._entry["run_block"](buffer, len(groups), None)
             self._record_batch(count, time.perf_counter() - start)
             return None
         out_buffer = (
-            self._word * max(1, len(groups) * self._num_outputs)
+            self._word * max(1, len(groups) * self.num_outputs)
         )()
-        self._entry["run_packed_block"](buffer, len(groups), out_buffer)
+        self._entry["run_block"](buffer, len(groups), out_buffer)
         self._record_batch(count, time.perf_counter() - start)
-        out.extend(out_buffer[: len(groups) * self._num_outputs])
+        out.extend(out_buffer[: len(groups) * self.num_outputs])
         return out
 
     def dump_state(self) -> list[int]:
@@ -1036,12 +957,10 @@ def compile_program(
     backend: str = "python",
     **kwargs,
 ) -> Machine:
-    """Compile a program with the chosen backend.
+    """Compile a program with the chosen backend, ``python`` or ``c``.
 
-    ``python`` and ``c`` are always candidates; ``numpy`` needs the
-    numpy module importable (see :func:`have_numpy`).  All backends
-    accept ``tiles=K`` for tiled execution — every net becomes K words
-    and one pass carries ``word_width * K`` lanes — and
+    Both backends accept ``tiles=K`` for tiled execution — every net
+    becomes K words and one pass carries ``word_width * K`` lanes — and
     ``use_cache=False`` to bypass the process-wide
     :class:`ProgramCache`.
     """
@@ -1049,6 +968,4 @@ def compile_program(
         return PythonMachine(program, **kwargs)
     if backend == "c":
         return CMachine(program, **kwargs)
-    if backend == "numpy":
-        return NumpyMachine(program, **kwargs)
     raise BackendError(f"unknown backend: {backend!r}")

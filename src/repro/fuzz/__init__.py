@@ -1,7 +1,7 @@
 """Differential fuzzing: campaign, oracles, shrinker, failure corpus.
 
 The execution paths of this library (event-driven reference, PC-set,
-parallel variants, zero-delay LCC; Python, C and numpy backends;
+parallel variants, zero-delay LCC; Python and C backends;
 scalar / batched / packed / tiled / sequential-replay / probed
 execution) must agree bit for bit — and stay fast.  This
 package keeps them honest at scale: :func:`run_campaign` explores

@@ -264,9 +264,9 @@ def run_campaign(
     Stops at ``iterations`` circuits or after ``budget_seconds``,
     whichever comes first (default: 50 iterations when neither is
     given).  ``backends=None`` probes the machine and fuzzes every
-    usable backend (C when a compiler is present, numpy when
-    importable).  ``check`` is the differential predicate —
-    overridable for testing the campaign machinery itself.
+    usable backend (C when a compiler is present).  ``check`` is the
+    differential predicate — overridable for testing the campaign
+    machinery itself.
 
     ``perf`` turns on the performance oracles (:mod:`~repro.fuzz.
     oracles`): ``observe`` measures and reports flags without failing

@@ -51,10 +51,25 @@ CHECKS = ("history", "batched", "packed", "faults", "sequential")
 #: axes it does not understand).
 CONFIG_SCHEMA = 3
 
-#: Compiled backends the lattice can draw.  ``numpy`` is optional at
-#: runtime (:func:`repro.codegen.runtime.have_numpy`); configuration
-#: validation accepts it unconditionally so corpus entries always load.
-BACKENDS = ("python", "c", "numpy")
+#: Compiled backends the lattice can draw.
+BACKENDS = ("python", "c")
+
+
+def check_backend(backend: str) -> None:
+    """Raise :class:`SimulationError` unless ``backend`` still exists.
+
+    The ``numpy`` backend was deleted (it lost to the python and c
+    backends end to end); a corpus entry or perf envelope naming it
+    describes a machine this library can no longer build, so it is
+    refused by name rather than replayed as something else.
+    """
+    if backend == "numpy":
+        raise SimulationError(
+            "the 'numpy' backend was removed; a config or perf point "
+            f"using it cannot be replayed (backends: {BACKENDS})"
+        )
+    if backend not in BACKENDS:
+        raise SimulationError(f"unknown backend {backend!r}")
 
 #: The execution surfaces a campaign is expected to cover — the
 #: printed lattice-coverage summary counts drawn configs per surface.
@@ -122,8 +137,7 @@ class FuzzConfig:
             raise SimulationError(
                 f"check must be one of {CHECKS}: {self.check!r}"
             )
-        if self.backend not in BACKENDS:
-            raise SimulationError(f"unknown backend {self.backend!r}")
+        check_backend(self.backend)
         if self.word_width not in WORD_WIDTHS:
             raise SimulationError(
                 f"word_width must be one of {WORD_WIDTHS}: "
@@ -290,7 +304,7 @@ def _upgrade_config_v1(data: dict) -> dict:
 
     Schema 1 dicts predate the explicit version field; every axis they
     can carry was still a field in schema 2, and axes added since
-    (tiles, probes, the numpy backend) serialize only when non-default —
+    (tiles, probes) serialize only when non-default —
     the dataclass defaults refill them.  The shim is therefore a
     pass-through.
     """
@@ -423,11 +437,6 @@ def coverage_configs(
         FuzzConfig(check="faults", technique="parallel-best",
                    backend=backend, word_width=16),
     ]
-    if "numpy" in backends:
-        configs.append(FuzzConfig(
-            check="packed", technique="zero-lcc", backend="numpy",
-            word_width=32, tiles=2,
-        ))
     return configs
 
 

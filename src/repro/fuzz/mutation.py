@@ -118,8 +118,7 @@ def inject_slowdown(factor: float = 2.0, *, backend: str = "c",
     ``(factor - 1)`` times its own elapsed time — a clean synthetic
     throughput regression with no functional change, used to prove the
     perf oracle flags what the differential checks cannot see.
-    ``NumpyMachine`` subclasses ``PythonMachine``, so the python sites
-    cover the numpy backend too.  Self-test only.
+    Self-test only.
     """
     import time as _time
 

@@ -37,6 +37,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro import telemetry
 from repro.errors import SimulationError
+from repro.fuzz.lattice import check_backend
 
 __all__ = [
     "BENCH_FIGURES",
@@ -183,6 +184,7 @@ class PerfPoint:
                 f"unknown perf surface {self.surface!r}; choose from "
                 f"{self.SURFACES}"
             )
+        check_backend(self.backend)
 
     def key(self) -> str:
         parts = [
@@ -276,16 +278,11 @@ class PerfReport:
         return self.observe_only or not self.flags
 
 
-def available_backends(*, include_numpy: bool = True) -> tuple:
+def available_backends() -> tuple:
     """Backends usable on this machine, production-preferred order."""
-    from repro.codegen.runtime import have_c_compiler, have_numpy
+    from repro.codegen.runtime import have_c_compiler
 
-    backends = ["python"]
-    if have_c_compiler():
-        backends.insert(0, "c")
-    if include_numpy and have_numpy():
-        backends.append("numpy")
-    return tuple(backends)
+    return ("c", "python") if have_c_compiler() else ("python",)
 
 
 def default_points(
@@ -463,6 +460,8 @@ class PerfEnvelope:
                 raise SimulationError(
                     f"perf envelope is missing required key {key!r}"
                 )
+        for key in data["floors"]:
+            PerfPoint.from_key(key)  # raises on a removed backend
         return cls(
             margin=float(data["margin"]),
             vectors=int(data["vectors"]),

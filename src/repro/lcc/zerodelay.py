@@ -13,31 +13,18 @@ bit-parallelism, reproduced here for the §5 "1/23" comparison.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro import telemetry
 from repro.analysis.levelize import levelize
 from repro.codegen.gates import gate_expression
 from repro.codegen.naming import NameAllocator
-from repro.codegen.packing import (
-    PatternBlock,
-    pack_patterns,
-    packed_apply,
-    packed_bits,
-    packing_mode,
-    pattern_block,
-    select_tiles,
-    validate_packed_words,
-)
-from repro.codegen.probes import (
-    ProbeRuntime,
-    ProbeSpec,
-    instrument_lcc_program,
-)
+from repro.codegen.packing import packing_mode, validate_packed_words
+from repro.codegen.probes import ProbeSpec, instrument_lcc_program
 from repro.codegen.program import Assign, Emit, Input, Program, Var
-from repro.codegen.runtime import CMachine, Machine, compile_program
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
+from repro.simbase import CompiledSimulator
 
 __all__ = ["generate_lcc_program", "LCCSimulator"]
 
@@ -97,7 +84,7 @@ def _generate_lcc_program(
     return program
 
 
-class LCCSimulator:
+class LCCSimulator(CompiledSimulator):
     """Compiled zero-delay simulator.
 
     ``backend`` is ``"python"`` or ``"c"``.  ``evaluate`` settles one
@@ -105,7 +92,10 @@ class LCCSimulator:
     a whole batch with the vector loop inside the generated code;
     ``run_batch`` times many vectors and folds a checksum compatible
     with the interpreted
-    :class:`repro.eventsim.zerodelay.ZeroDelaySimulator`.
+    :class:`repro.eventsim.zerodelay.ZeroDelaySimulator`.  Execution
+    — tiles, packing, prepared batches, probes — is the shared
+    :class:`~repro.simbase.CompiledSimulator` executor; the program is
+    memoryless, so no :meth:`reset` is needed before running.
 
     Pattern-lane packing: the LCC program is shift-free and memoryless
     (:func:`repro.codegen.packing.packing_mode` returns ``"full"``), so
@@ -119,18 +109,24 @@ class LCCSimulator:
     are bit-identical in their results; only the per-pass lane count
     differs.  (The machine's persistent state is scratch for this
     memoryless program, so only outputs are specified across paths.)
+    Input words pass through unmasked: a multi-bit word is the classic
+    packed-input mode of :meth:`evaluate_packed` and runs scalar.
 
     Probes: ``probes=`` compiles per-net toggle counters into the
     generated pass (see :mod:`repro.codegen.probes`).  A pseudo-input
-    carries the lane-occupancy mask, so packed batches count all
-    ``word_width`` lanes with one popcount per net per pass.  Seed the
-    baseline with :meth:`probe_reset`, run batches, then read
-    :meth:`activity_report`.  Probed batches require plain 0/1
-    vectors (the counters chain consecutive lanes as consecutive
-    vectors), and tiled execution is unavailable — tiles interleave
-    the packed group sequence, which would break the previous-value
-    chain.
+    carries the lane-occupancy mask — a 1 appended to every vector, so
+    a packed batch's pattern block gains one all-ones bit plane and
+    counts all ``word_width`` lanes with one popcount per net per pass.
+    Seed the baseline with :meth:`probe_reset`, run batches, then read
+    :meth:`activity_report` (zero delay sees at most one transition
+    per net per vector, so functional toggles equal total toggles).
+    Probed batches require plain 0/1 vectors (the counters chain
+    consecutive lanes as consecutive vectors), and tiled execution is
+    unavailable — tiles interleave the packed group sequence, which
+    would break the previous-value chain.
     """
+
+    _words_masked = False
 
     def __init__(
         self,
@@ -146,10 +142,6 @@ class LCCSimulator:
             raise SimulationError(
                 f"packed must be True, False or 'auto': {packed!r}"
             )
-        if tiles != "auto":
-            tiles = int(tiles)
-            if tiles < 1:
-                raise SimulationError(f"tiles must be >= 1: {tiles}")
         spec = ProbeSpec.coerce(probes)
         if spec is not None:
             if tiles not in (1, "auto"):
@@ -160,108 +152,52 @@ class LCCSimulator:
                     "unavailable with probes"
                 )
             tiles = 1
-        self.circuit = circuit
-        self.program = generate_lcc_program(circuit, word_width=word_width)
-        #: ``"full"`` for every LCC program; kept as an attribute so the
-        #: auto-pack decision reads as policy, not as an LCC special
-        #: case.  Recorded *before* probe instrumentation — the probe
-        #: statements use shifts and popcounts, which are lane-safe
-        #: here by construction but would classify the program
-        #: ``"none"``.
-        self.packing_mode = packing_mode(self.program)
-        self.probe_plan = (
-            instrument_lcc_program(self.program, circuit, spec)
-            if spec is not None else None
-        )
-        self.backend = backend
-        self.machine: Machine = compile_program(self.program, backend)
-        self._probe_runtime = (
-            ProbeRuntime(self.probe_plan, self.program)
-            if self.probe_plan is not None else None
+        program = generate_lcc_program(circuit, word_width=word_width)
+        # Recorded *before* probe instrumentation: the probe statements
+        # use shifts and popcounts, which are lane-safe here by
+        # construction but would classify the program ``"none"``.
+        mode = packing_mode(program)
+        super().__init__(
+            circuit, program, backend=backend, tiles=tiles,
+            probe_plan=(
+                instrument_lcc_program(program, circuit, spec)
+                if spec is not None else None
+            ),
+            packing_override=mode,
         )
         self.word_width = word_width
         self.packed = packed
-        self.tiles = tiles
-        self._tiled_machines: dict[int, Machine] = {}
-        self._inputs = circuit.inputs
         self._outputs = circuit.outputs
+        # Memoryless: every pass settles from the inputs alone.
+        self._settled = True
 
-    # ------------------------------------------------------------------
-    # tiled machines
-    # ------------------------------------------------------------------
-    def _tiled_machine(self, tiles: int) -> Machine:
-        """The K-tile compilation of this program (memoized per K)."""
-        machine = self._tiled_machines.get(tiles)
-        if machine is None:
-            machine = compile_program(
-                self.program, self.backend, tiles=tiles
-            )
-            self._tiled_machines[tiles] = machine
-        return machine
+    def _encode_state(self, settled: Mapping[str, int]) -> list[int]:
+        # One variable per net, in circuit order (scratch: every pass
+        # rewrites it before reading it).
+        return [settled[net] & 1 for net in self.circuit.nets]
 
-    def _packed_machine(self, num_vectors: int) -> Machine:
-        """The machine for a packed batch: K tiles, clamped to the work."""
-        if self.tiles == "auto":
-            tiles = select_tiles(
-                num_vectors, self.word_width, backend=self.backend
-            )
-        else:
-            tiles = self.tiles
-        if num_vectors:
-            tiles = max(1, min(tiles, -(-num_vectors // self.word_width)))
-        else:
-            tiles = 1
-        if tiles == 1:
-            return self.machine
-        return self._tiled_machine(tiles)
-
-    def _pattern_block(
-        self, words: list[list[int]]
-    ) -> Optional[PatternBlock]:
-        """The batch as a pattern block, or ``None`` to run it scalar.
-
-        ``apply_vectors`` accepts multi-bit words too (the classic
-        packed-input mode of :meth:`evaluate_packed`); those already
-        occupy all lanes and must go through the scalar path unchanged.
-        """
-        if self.packed is False or self.packing_mode != "full":
-            if self.packed is True:
+    def _vector_words(
+        self, vector: Mapping[str, int] | Sequence[int]
+    ) -> list[int]:
+        """The vector's words, unmasked; probed runs append the 1 of
+        the ``__probe_en`` occupancy input."""
+        values = super()._vector_words(vector)
+        if self._probe_runtime is None:
+            return values
+        for value in values:
+            if value not in (0, 1):
                 raise SimulationError(
-                    f"packed=True but program mode is "
-                    f"{self.packing_mode!r}"
+                    "probed runs take plain 0/1 vectors; the "
+                    "counters chain lanes as consecutive vectors, "
+                    "so pre-packed multi-bit words are not countable"
                 )
-            return None
-        if not self._inputs:
-            return None
-        block = PatternBlock.from_rows(words, self.word_width)
-        if block is None and self.packed is True:
-            raise SimulationError(
-                "packed=True requires plain 0/1 vectors (one lane each)"
-            )
-        return block
-
-    def _probe_words(self, words: list[list[int]]) -> list[list[int]]:
-        """Validate 0/1 vectors; append the ``__probe_en`` occupancy 1."""
-        for word in words:
-            for value in word:
-                if value not in (0, 1):
-                    raise SimulationError(
-                        "probed runs take plain 0/1 vectors; the "
-                        "counters chain lanes as consecutive vectors, "
-                        "so pre-packed multi-bit words are not countable"
-                    )
-        return [word + [1] for word in words]
+        return values + [1]
 
     def evaluate(
         self, vector: Mapping[str, int] | Sequence[int]
     ) -> dict[str, int]:
         """Settle on one vector; returns monitored output values."""
-        values = self._vector_list(vector)
-        if self._probe_runtime is not None:
-            [values] = self._probe_words([values])
-        out = self.machine.step(values)
-        if self._probe_runtime is not None:
-            self._probe_runtime.note_vectors(self.machine, 1)
+        out = self.apply_vector(vector)
         return {name: value & 1 for name, value in zip(self._outputs, out)}
 
     def evaluate_packed(
@@ -281,7 +217,7 @@ class LCCSimulator:
                 "per call; probe counting chains lanes as consecutive "
                 "vectors — use apply_vectors with 0/1 vectors instead"
             )
-        words = self._vector_list(vector)
+        words = self._vector_words(vector)
         validate_packed_words(
             words, self.word_width, context="packed input word"
         )
@@ -292,12 +228,7 @@ class LCCSimulator:
         self, vector: Mapping[str, int] | Sequence[int]
     ) -> dict[str, int]:
         """Settle and return every net's value (from machine state)."""
-        values = self._vector_list(vector)
-        if self._probe_runtime is not None:
-            [values] = self._probe_words([values])
-        self.machine.step(values)
-        if self._probe_runtime is not None:
-            self._probe_runtime.note_vectors(self.machine, 1)
+        self.apply_vector(vector)
         state = self.machine.state_dict()
         # State variable order matches circuit.nets insertion order
         # (probe state is declared after every net variable).
@@ -305,44 +236,6 @@ class LCCSimulator:
             net_name: state[var] & 1
             for net_name, var in zip(self.circuit.nets, state)
         }
-
-    def _vector_list(
-        self, vector: Mapping[str, int] | Sequence[int]
-    ) -> list[int]:
-        if isinstance(vector, Mapping):
-            missing = [n for n in self._inputs if n not in vector]
-            if missing:
-                raise SimulationError(f"vector missing inputs: {missing}")
-            return [vector[n] for n in self._inputs]
-        values = list(vector)
-        if len(values) != len(self._inputs):
-            raise SimulationError(
-                f"vector has {len(values)} values, expected "
-                f"{len(self._inputs)}"
-            )
-        return values
-
-    def _vector_lists(
-        self, vectors: Sequence[Mapping[str, int] | Sequence[int]]
-    ) -> list[list[int]]:
-        """:meth:`_vector_list` per vector; lists of the right length
-        pass through uncopied (nothing downstream mutates them)."""
-        width = len(self._inputs)
-        try:
-            return [
-                vector if type(vector) is list and len(vector) == width
-                else self._vector_list(vector)
-                for vector in vectors
-            ]
-        except SimulationError:
-            for index, vector in enumerate(vectors):
-                try:
-                    self._vector_list(vector)
-                except SimulationError as exc:
-                    raise SimulationError(
-                        f"batch vector {index}: {exc}"
-                    ) from None
-            raise
 
     def apply_vectors(
         self, vectors: Sequence[Mapping[str, int] | Sequence[int]]
@@ -352,47 +245,13 @@ class LCCSimulator:
         Bit-identical to ``[self.machine.step(v) for v in vectors]``.
         Eligible 0/1 batches are pattern-packed — ``word_width``
         vectors per compiled pass — and the exact scalar words are
-        reconstructed on unpacking (:func:`packed_apply`); everything
-        else runs through the scalar ``run_block`` loop.
+        reconstructed on unpacking
+        (:func:`~repro.codegen.packing.packed_apply`); everything else
+        runs through the scalar ``run_block`` loop.  (Defined here, not
+        only inherited, so ``perfbench/tracing.py`` can wrap it as the
+        zero-delay facade.)
         """
-        words = self._vector_lists(vectors)
-        if self._probe_runtime is not None:
-            return self._probed_batch(words)
-        block = self._pattern_block(words)
-        if block is not None:
-            telemetry.counter("packing.packed_batches")
-            return packed_apply(self._packed_machine(len(words)), block)
-        telemetry.counter("packing.fallback.scalar")
-        return self.machine.step_many(words)
-
-    def _probed_batch(self, words: list[list[int]]) -> list[list[int]]:
-        """Run a 0/1 batch with toggle counting, chunked wrap-free.
-
-        Packed when eligible (the occupancy input rides along as one
-        extra column and the exact scalar words are reconstructed),
-        scalar otherwise; either way the batch is split so no compiled
-        counter can wrap between drains, and the counters observe
-        every vector exactly once.
-        """
-        runtime = self._probe_runtime
-        assert runtime is not None
-        if not words:
-            return []
-        packable = self._pattern_block(words) is not None
-        en_words = self._probe_words(words)
-        telemetry.counter(
-            "packing.packed_batches" if packable
-            else "packing.fallback.scalar"
-        )
-        out: list[list[int]] = []
-        for start, length in runtime.chunk_vectors(len(words)):
-            chunk = en_words[start:start + length]
-            if packable:
-                out.extend(packed_apply(self.machine, chunk))
-            else:
-                out.extend(self.machine.step_many(chunk))
-            runtime.note_vectors(self.machine, length)
-        return out
+        return super().apply_vectors(vectors)
 
     # ------------------------------------------------------------------
     # checksum folding
@@ -422,19 +281,8 @@ class LCCSimulator:
         packed and scalar paths produce the same result; eligible
         batches run packed (one pass per ``word_width`` vectors).
         """
-        words = self._vector_lists(vectors)
-        if self._probe_runtime is not None:
-            rows = self._probed_batch(words)
-        elif (block := self._pattern_block(words)) is not None:
-            telemetry.counter("packing.packed_batches")
-            # packed_bits drives scalar or tiled machines uniformly and
-            # returns exactly the bit-0 values the fold consumes.
-            rows = packed_bits(self._packed_machine(len(words)), block)
-        else:
-            telemetry.counter("packing.fallback.scalar")
-            rows = self.machine.step_many(words)
         checksum = 0
-        for out in rows:
+        for out in self.apply_vectors(vectors):
             folded = 0
             for value in out:
                 folded = self._fold(folded, value & 1)
@@ -442,149 +290,8 @@ class LCCSimulator:
         return checksum
 
     # ------------------------------------------------------------------
-    # prepared batches (timing fast path)
-    # ------------------------------------------------------------------
-    def prepare_batch(self, vectors: Sequence[Sequence[int]]):
-        """Marshal a scalar batch once, outside any timed region.
-
-        Mirrors :meth:`repro.simbase.CompiledSimulator.prepare_batch`:
-        on the C backend the batch becomes one contiguous native
-        buffer; on the Python backend a pre-marshalled word list.
-        """
-        with telemetry.span("pack"):
-            words = self._vector_lists(vectors)
-            if self._probe_runtime is not None:
-                rows = self._probe_words(words)
-                return (
-                    "probe",
-                    self._probe_parts(rows, represented=None),
-                    False,
-                )
-            if isinstance(self.machine, CMachine):
-                return (
-                    "c", self.machine.pack_block(words), len(words), None
-                )
-            mask = self.program.word_mask
-            masked = [[value & mask for value in word] for word in words]
-            return ("py", masked, len(words), None)
-
-    def _probe_parts(self, rows, *, represented, group_lanes: int = 1):
-        """Split pre-marshalled pass rows into wrap-free probe parts.
-
-        ``group_lanes`` is the vectors-per-row factor (``word_width``
-        for pattern-packed groups, 1 for scalar rows);
-        ``represented=None`` marks scalar parts.  Each part is
-        ``(payload, rows, vectors)`` with payload pre-packed on the C
-        backend.
-        """
-        runtime = self._probe_runtime
-        assert runtime is not None
-        row_chunk = max(1, runtime.chunk // group_lanes)
-        parts = []
-        for i in range(0, len(rows), row_chunk):
-            part = rows[i:i + row_chunk]
-            if represented is None:
-                vectors = len(part)
-            else:
-                vectors = min(represented - i * group_lanes,
-                              len(part) * group_lanes)
-            payload = (
-                self.machine.pack_block(part)
-                if isinstance(self.machine, CMachine) else part
-            )
-            parts.append((payload, len(part), vectors))
-        return parts
-
-    def prepare_packed(self, vectors: Sequence[Sequence[int]]):
-        """Transpose + marshal a pattern batch outside the timed region.
-
-        The timed run is then pure compiled passes —
-        ``ceil(len(vectors) / (word_width * K))`` of them with K tiles.
-        Raises :class:`SimulationError` when the batch is not packable
-        (the caller asked for the packed configuration explicitly).
-        """
-        words = self._vector_lists(vectors)
-        if self.packing_mode != "full" or not self._inputs:
-            raise SimulationError(
-                f"program {self.program.name!r} is not pattern-packable "
-                f"(mode {self.packing_mode!r})"
-            )
-        if self._probe_runtime is not None:
-            # The occupancy column packs into exactly the lane mask
-            # (a partial last group gets 0 for the unoccupied lanes),
-            # and the previous-value chain carries across parts
-            # through the machine state.
-            en_words = self._probe_words(words)
-            groups, _lane_counts = pack_patterns(
-                en_words, self.word_width
-            )
-            return (
-                "probe",
-                self._probe_parts(
-                    groups,
-                    represented=len(words),
-                    group_lanes=self.word_width,
-                ),
-                True,
-            )
-        machine = self._packed_machine(len(words))
-        block = pattern_block(words, self.word_width).laid_out(
-            machine.tiles
-        )
-        if isinstance(machine, CMachine):
-            return (
-                "c", machine.pack_block(block), len(block),
-                len(words), machine,
-            )
-        return ("py", block, len(block), len(words), machine)
-
-    def run_prepared(self, prepared) -> None:
-        """Run a batch from :meth:`prepare_batch`/:meth:`prepare_packed`.
-
-        Outputs are discarded — this is the timing fast path; the
-        throughput counters record scalar vectors simulated either way.
-        """
-        if prepared[0] == "probe":
-            runtime = self._probe_runtime
-            assert runtime is not None
-            # Start from zeroed counters so each pre-marshalled part
-            # has the full wrap-free budget.
-            runtime.drain(self.machine)
-            _kind, parts, packed_groups = prepared
-            for payload, count, vectors in parts:
-                represented = vectors if packed_groups else None
-                if isinstance(self.machine, CMachine):
-                    self.machine.run_packed(
-                        payload, count, vectors_represented=represented
-                    )
-                elif packed_groups:
-                    self.machine.run_packed_block(
-                        payload, vectors_represented=represented
-                    )
-                else:
-                    self.machine.run_block(payload, masked=True)
-                runtime.note_vectors(self.machine, vectors)
-            return
-        kind, payload, count, represented = prepared[:4]
-        machine = prepared[4] if len(prepared) > 4 else self.machine
-        if kind == "c":
-            machine.run_packed(
-                payload, count, vectors_represented=represented
-            )
-        elif represented is None:
-            machine.run_block(payload, masked=True)
-        else:
-            machine.run_packed_block(
-                payload, vectors_represented=represented
-            )
-
-    # ------------------------------------------------------------------
     # probes
     # ------------------------------------------------------------------
-    @property
-    def probe_runtime(self) -> Optional[ProbeRuntime]:
-        return self._probe_runtime
-
     def probe_reset(
         self, vector: Mapping[str, int] | Sequence[int] | None = None
     ) -> None:
@@ -602,21 +309,5 @@ class LCCSimulator:
             )
         if vector is None:
             vector = [0] * len(self._inputs)
-        [values] = self._probe_words([self._vector_list(vector)])
-        self.machine.step(values)
+        self.machine.step(self._vector_words(vector))
         self._probe_runtime.discard(self.machine)
-
-    def activity_report(self):
-        """Drain the compiled-in probe counters into an ActivityReport.
-
-        Zero-delay simulation sees at most one transition per net per
-        vector, so functional toggles equal total toggles and the
-        glitch excess is zero by construction.
-        """
-        if self._probe_runtime is None:
-            raise SimulationError(
-                "simulator was built without probes=; no activity "
-                "counters to report"
-            )
-        self._probe_runtime.drain(self.machine)
-        return self._probe_runtime.report()

@@ -15,9 +15,11 @@ from typing import Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.packing import (
+    PatternBlock,
     lane_segments,
     packed_apply,
     packing_mode,
+    pattern_block,
     select_lanes,
     select_tiles,
 )
@@ -63,6 +65,15 @@ class CompiledSimulator:
         is the historical single-word behaviour.  Results are
         bit-identical either way.
     """
+
+    #: Pattern-lane packing policy of ``"full"``-mode programs (see
+    #: :meth:`_pattern_block`); a subclass may expose it as a knob.
+    packed: "bool | str" = "auto"
+    #: Whether :meth:`_vector_words` reduces every value to its bit 0
+    #: (machine-ready: no masking to the word width is needed).  A
+    #: subclass that takes whole input words (one lane per bit) clears
+    #: it; its words then pass through unmasked and the machines mask.
+    _words_masked = True
 
     def __init__(
         self,
@@ -155,18 +166,52 @@ class CompiledSimulator:
     def _vector_words(
         self, vector: Mapping[str, int] | Sequence[int]
     ) -> list[int]:
+        """One input word per primary input: the value's bit 0, or —
+        where :attr:`_words_masked` is false — the caller's word."""
         if isinstance(vector, Mapping):
             missing = [n for n in self._inputs if n not in vector]
             if missing:
                 raise SimulationError(f"vector missing inputs: {missing}")
-            return [vector[n] & 1 for n in self._inputs]
-        values = list(vector)
-        if len(values) != len(self._inputs):
-            raise SimulationError(
-                f"vector has {len(values)} values, expected "
-                f"{len(self._inputs)}"
-            )
-        return [value & 1 for value in values]
+            values = [vector[n] for n in self._inputs]
+        else:
+            values = list(vector)
+            if len(values) != len(self._inputs):
+                raise SimulationError(
+                    f"vector has {len(values)} values, expected "
+                    f"{len(self._inputs)}"
+                )
+        if self._words_masked:
+            return [value & 1 for value in values]
+        return values
+
+    def _batch_words(
+        self, vectors: Sequence[Mapping[str, int] | Sequence[int]]
+    ) -> list[list[int]]:
+        """:meth:`_vector_words` per vector; errors name the vector.
+
+        Where the words pass through unmasked and unextended (no probe
+        column), lists of the right length are already the machine's
+        words and are used uncopied (nothing downstream mutates them).
+        """
+        convert = self._vector_words
+        try:
+            if self._words_masked or self._probe_runtime is not None:
+                return list(map(convert, vectors))
+            width = len(self._inputs)
+            return [
+                vector if type(vector) is list and len(vector) == width
+                else convert(vector)
+                for vector in vectors
+            ]
+        except SimulationError:
+            for index, vector in enumerate(vectors):
+                try:
+                    self._vector_words(vector)
+                except SimulationError as exc:
+                    raise SimulationError(
+                        f"batch vector {index}: {exc}"
+                    ) from None
+            raise
 
     def apply_vector(
         self, vector: Mapping[str, int] | Sequence[int]
@@ -186,10 +231,11 @@ class CompiledSimulator:
 
         Bit-identical to ``[self.apply_vector(v) for v in vectors]``.
         When the compiled program is ``"full"``-mode packable
-        (shift-free *and* memoryless), the batch is auto-packed —
-        ``word_width`` vectors per compiled pass, times the tile count
-        when ``tiles > 1`` — exact scalar words reconstructed on
-        unpacking.  Shift programs (the §3 parallel technique) whose
+        (shift-free *and* memoryless), a batch of plain 0/1 vectors is
+        pattern-packed (see :meth:`_pattern_block`) — ``word_width``
+        vectors per compiled pass, times the tile count when
+        ``tiles > 1`` — exact scalar words reconstructed on unpacking.
+        Shift programs (the §3 parallel technique) whose
         generator declares ``state_carry="finals"`` run *laned* when
         ``tiles`` allows: the batch splits into K contiguous segments,
         each lane owning its own word so the time-shift ops move
@@ -198,32 +244,82 @@ class CompiledSimulator:
         what the finals contract guarantees reproduces the chain).
         ``"settled"`` programs (the PC-set method) emit
         intermediate-time values with opaque cross-pass state and keep
-        the scalar ``run_block`` loop with no behavior change.
+        the scalar ``run_block`` loop with no behavior change.  Probed
+        batches run in chunks short enough that no compiled counter
+        can wrap between drains (packed chunks on a ``"full"``
+        program: one tile, so consecutive lanes stay consecutive
+        vectors).
         """
         if not self._settled:
             raise SimulationError("call reset() before apply_vectors()")
-        words = [self._vector_words(vector) for vector in vectors]
-        if (self.packing_mode == "full" and self._inputs
-                and self.probe_plan is None):
+        words = self._batch_words(vectors)
+        block = self._pattern_block(words)
+        runtime = self._probe_runtime
+        if block is not None and runtime is None:
             telemetry.counter("packing.packed_batches")
-            return packed_apply(self._packed_machine(len(words)), words)
+            return packed_apply(self._packed_machine(len(words)), block)
         lanes = self._batch_lanes(len(words))
         if lanes > 1:
             telemetry.counter("packing.laned_batches")
             return self._run_laned(words, lanes, collect=True)
-        telemetry.counter(f"packing.fallback.{self.packing_mode}")
-        if self._probe_runtime is not None and words:
-            # Chunked so no compiled counter can wrap between drains.
-            out: list[list[int]] = []
-            for start, length in self._probe_runtime.chunk_vectors(
-                len(words)
-            ):
-                out.extend(self.machine.step_many(
-                    words[start:start + length], masked=True
+        telemetry.counter(
+            "packing.packed_batches" if block is not None
+            else f"packing.fallback.{self.packing_mode}"
+        )
+        masked = self._words_masked
+        if runtime is None:
+            return self.machine.step_many(words, masked=masked)
+        out: list[list[int]] = []
+        for start, length in runtime.chunk_vectors(len(words)):
+            if block is not None:
+                out.extend(packed_apply(
+                    self.machine, block.part(start, length)
                 ))
-                self._probe_runtime.note_vectors(self.machine, length)
-            return out
-        return self.machine.step_many(words, masked=True)
+            else:
+                out.extend(self.machine.step_many(
+                    words[start:start + length], masked=masked
+                ))
+            runtime.note_vectors(self.machine, length)
+        return out
+
+    def _pattern_block(
+        self, words: list[list[int]]
+    ) -> Optional[PatternBlock]:
+        """The batch as a pattern block, or ``None`` to run it scalar.
+
+        Only ``"full"``-mode programs pack, under the ``packed``
+        policy: ``"auto"`` packs whenever every value is 0/1, ``False``
+        never packs, ``True`` raises :class:`SimulationError` for a
+        batch (or a program) that cannot.  Multi-bit words — a
+        subclass's packed-input mode — already occupy all lanes and go
+        through the scalar path unchanged.
+        """
+        if self.packed is False or self.packing_mode != "full":
+            if self.packed is True:
+                raise SimulationError(
+                    f"packed=True but program mode is "
+                    f"{self.packing_mode!r}"
+                )
+            return None
+        if not self._lanes_countable():
+            return None
+        block = PatternBlock.from_rows(words, self.program.word_width)
+        if block is None and self.packed is True:
+            raise SimulationError(
+                "packed=True requires plain 0/1 vectors (one lane each)"
+            )
+        return block
+
+    def _lanes_countable(self) -> bool:
+        """Inputs to pack, and probes (if any) that count every lane.
+
+        Only an occupancy input (the zero-delay ``__probe_en``) lets
+        compiled counters see packed lanes; other probe plans count
+        lane 0 alone and keep their batches scalar.
+        """
+        return bool(self._inputs) and (
+            self.probe_plan is None or self.probe_plan.en_slot is not None
+        )
 
     # ------------------------------------------------------------------
     # tiled / laned execution
@@ -368,86 +464,119 @@ class CompiledSimulator:
         the generated coroutine's in-frame loop.  Laned shift programs
         (``tiles > 1`` on a ``state_carry="finals"`` program) also
         compute the segment rows and steady-state lane seeds here;
-        only the lane-0 live state is read at run time.
+        only the lane-0 live state is read at run time.  Probed
+        batches are split into wrap-free parts (one part at any
+        realistic word width; tiny widths get several).
         """
         with telemetry.span("pack"):
-            words = [self._vector_words(vector) for vector in vectors]
+            words = self._batch_words(vectors)
             lanes = self._batch_lanes(len(words))
             if lanes > 1:
                 machine = self._tiled_machine(lanes)
                 _segs, rows, seeds = self._lane_plan(words, lanes)
-                if isinstance(machine, CMachine):
-                    return (
-                        "lane-c", machine, machine.pack_block(rows),
-                        len(rows), len(words), seeds,
-                    )
-                return ("lane-py", machine, rows, len(words), seeds)
-            if isinstance(self.machine, CMachine):
-                if self._probe_runtime is not None and words:
-                    # Pre-pack in wrap-free chunks (one chunk at any
-                    # realistic word width; tiny widths get several).
-                    chunk = self._probe_runtime.chunk
-                    parts = [
-                        (
-                            self.machine.pack_block(words[i:i + chunk]),
-                            min(chunk, len(words) - i),
-                        )
-                        for i in range(0, len(words), chunk)
-                    ]
-                    return ("c-probe", parts)
-                return ("c", self.machine.pack_block(words), len(words))
-            return ("py", words)
+                return (machine, [self._part(machine, rows, len(words))],
+                        seeds)
+            size = max(1, len(words))
+            if self._probe_runtime is not None:
+                size = self._probe_runtime.chunk
+            chunks = [
+                words[i:i + size] for i in range(0, len(words), size)
+            ]
+            return (
+                self.machine,
+                [self._part(self.machine, rows, len(rows))
+                 for rows in chunks],
+                None,
+            )
+
+    def prepare_packed(self, vectors: Sequence[Sequence[int]]):
+        """Transpose + marshal a pattern batch outside the timed region.
+
+        The timed run is then pure compiled passes —
+        ``ceil(len(vectors) / (word_width * K))`` of them with K tiles.
+        Raises :class:`SimulationError` when the program or the batch
+        is not packable (the caller asked for the packed configuration
+        explicitly).  Probed batches are split into wrap-free parts of
+        whole lane groups; each part's occupancy plane covers exactly
+        its own vectors.
+        """
+        words = self._batch_words(vectors)
+        if self.packing_mode != "full" or not self._lanes_countable():
+            raise SimulationError(
+                f"program {self.program.name!r} is not pattern-packable "
+                f"(mode {self.packing_mode!r})"
+            )
+        width = self.program.word_width
+        block = pattern_block(words, width)
+        machine = self._packed_machine(len(words))
+        size = max(1, block.count)
+        if self._probe_runtime is not None:
+            size = max(1, self._probe_runtime.chunk // width) * width
+        blocks = [
+            block.part(start, min(size, block.count - start))
+            .laid_out(machine.tiles)
+            for start in range(0, block.count, size)
+        ]
+        return (
+            machine,
+            [self._part(machine, part, part.count) for part in blocks],
+            None,
+        )
+
+    def _part(self, machine: Machine, rows, represented: int) -> tuple:
+        """One pre-marshalled run: ``(payload, passes, vectors)``.
+
+        ``rows`` is a list of pass rows or a
+        :class:`~repro.codegen.packing.PatternBlock` laid out for
+        ``machine``; the C backend gets it as one native buffer.
+        """
+        if isinstance(machine, CMachine):
+            return (machine.pack_block(rows), len(rows), represented)
+        if not (self._words_masked or isinstance(rows, PatternBlock)):
+            mask = self.program.word_mask
+            rows = [[value & mask for value in row] for row in rows]
+        return (rows, len(rows), represented)
 
     def run_prepared(self, prepared) -> None:
-        """Run a batch produced by :meth:`prepare_batch`."""
+        """Run a batch from :meth:`prepare_batch`/:meth:`prepare_packed`.
+
+        Outputs are discarded — this is the timing fast path; the
+        throughput counters record scalar vectors simulated either way.
+        """
         if not self._settled:
             raise SimulationError("call reset() before running")
-        kind = prepared[0]
-        if kind == "c":
-            self.machine.run_packed(prepared[1], prepared[2])
-            self._note_probe_vectors(prepared[2])
-            return
-        if kind == "c-probe":
-            assert self._probe_runtime is not None
-            # Start from zeroed counters so each pre-packed chunk has
-            # the full wrap-free budget.
+        machine, parts, seeds = prepared
+        if self._probe_runtime is not None:
+            # Start from zeroed counters so each pre-marshalled part
+            # has the full wrap-free budget.
             self._probe_runtime.drain(self.machine)
-            for packed, count in prepared[1]:
-                self.machine.run_packed(packed, count)
-                self._probe_runtime.note_vectors(self.machine, count)
+        if seeds is None:
+            self._run_parts(machine, parts)
             return
-        if kind == "lane-c":
-            _, machine, packed, passes, num_vectors, seeds = prepared
-            num_state = self._seed_lanes(machine, seeds)
-            with telemetry.span("pack.shift", lanes=machine.tiles):
-                machine.run_packed(
-                    packed, passes, vectors_represented=num_vectors
-                )
-                telemetry.counter("pack.shift.batches")
-                telemetry.counter("pack.shift.vectors", num_vectors)
-            self._handoff_lanes(machine, num_state)
-            return
-        if kind == "lane-py":
-            _, machine, rows, num_vectors, seeds = prepared
-            num_state = self._seed_lanes(machine, seeds)
-            with telemetry.span("pack.shift", lanes=machine.tiles):
-                machine.run_block(rows, masked=True)
-                telemetry.counter("pack.shift.batches")
-                telemetry.counter("pack.shift.vectors", num_vectors)
-            machine.counters.vectors += num_vectors - len(rows)
-            self._handoff_lanes(machine, num_state)
-            return
-        rows = prepared[1]
-        if self._probe_runtime is not None and rows:
-            for start, length in self._probe_runtime.chunk_vectors(len(rows)):
-                self.machine.run_block(rows[start:start + length], masked=True)
-                self._probe_runtime.note_vectors(self.machine, length)
-            return
-        self.machine.run_block(rows, masked=True)
+        num_state = self._seed_lanes(machine, seeds)
+        with telemetry.span("pack.shift", lanes=machine.tiles):
+            self._run_parts(machine, parts)
+            telemetry.counter("pack.shift.batches")
+            telemetry.counter("pack.shift.vectors", parts[0][2])
+        self._handoff_lanes(machine, num_state)
 
-    def _note_probe_vectors(self, count: int) -> None:
-        if self._probe_runtime is not None and count:
-            self._probe_runtime.note_vectors(self.machine, count)
+    def _run_parts(self, machine: Machine, parts) -> None:
+        runtime = self._probe_runtime
+        for payload, passes, represented in parts:
+            if isinstance(machine, CMachine):
+                machine.run_packed(
+                    payload, passes, vectors_represented=represented
+                )
+            elif isinstance(payload, PatternBlock):
+                machine.run_packed_block(
+                    payload, vectors_represented=represented
+                )
+            else:
+                machine.run_block(payload, masked=True)
+                # run_block counted passes; laned rows carry K vectors.
+                machine.counters.vectors += represented - passes
+            if runtime is not None:
+                runtime.note_vectors(self.machine, represented)
 
     def run_batch(self, vectors: Sequence[Sequence[int]]) -> None:
         """Simulate many vectors back to back (the timing fast path)."""

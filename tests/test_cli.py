@@ -43,7 +43,7 @@ class TestCommands:
     def test_compile_to_stdout(self, capsys):
         assert main(["compile", "rca2", "-t", "parallel", "-l", "c"]) == 0
         out = capsys.readouterr().out
-        assert "void step(" in out
+        assert "void repro_step(" in out
 
     def test_compile_python_to_file(self, tmp_path, capsys):
         target = tmp_path / "gen.py"

@@ -104,9 +104,9 @@ class TestCRendering:
         assert "typedef int32_t sword;" in source
         assert "static word x = 3U;" in source
         assert "word t0;" in source
-        assert "void step(const word *V, word *OUT)" in source
-        assert "void dump_state(word *S)" in source
-        assert "void load_state(const word *S)" in source
+        assert "void repro_step(const word *V, word *OUT)" in source
+        assert "void repro_dump_state(word *S)" in source
+        assert "void repro_load_state(const word *S)" in source
 
 
 def _random_program(seed: int, word_width: int) -> Program:

@@ -93,6 +93,17 @@ class TestFuzzConfig:
         with pytest.raises(SimulationError, match=name):
             FuzzConfig.from_dict(data)
 
+    @pytest.mark.parametrize("schema", [2, CONFIG_SCHEMA])
+    def test_from_dict_rejects_removed_numpy_backend(self, schema):
+        # The numpy backend was deleted; an entry naming it must fail
+        # loudly instead of replaying on another backend.
+        data = {"schema": schema, "check": "packed",
+                "technique": "zero-lcc", "backend": "numpy",
+                "word_width": 32, "batch_size": 0, "tiles": 2}
+        with pytest.raises(SimulationError, match="'numpy' backend was "
+                                                  "removed"):
+            FuzzConfig.from_dict(data)
+
     def test_from_dict_rejects_unknown_fields(self):
         # Silently ignoring unknown keys made corpus replay fragile: a
         # drifted entry would replay the wrong lattice point and pass.
@@ -153,7 +164,7 @@ class TestFuzzConfig:
 
     def test_coverage_configs_span_every_surface(self):
         covered = set()
-        for config in coverage_configs(("python", "numpy")):
+        for config in coverage_configs(("python",)):
             covered |= config.surfaces()
         assert covered == set(SURFACES)
 

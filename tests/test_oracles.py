@@ -97,7 +97,7 @@ class TestBenchLoader:
 
 class TestPerfPoint:
     def test_key_round_trip(self):
-        for point in default_points(("python", "c", "numpy")):
+        for point in default_points(("python", "c")):
             assert PerfPoint.from_key(point.key()) == point
 
     def test_key_encodes_every_axis(self):
@@ -147,6 +147,18 @@ class TestEnvelope:
         del data["floors"]
         with pytest.raises(SimulationError, match="floors"):
             PerfEnvelope.from_dict(data)
+
+    def test_removed_numpy_point_rejected(self, tmp_path):
+        envelope = calibrate_envelope([PY_PACKED],
+                                      measure=fake_measure)
+        data = envelope.as_dict()
+        row = data["floors"][PY_PACKED.key()]
+        data["floors"]["packed:zero-lcc:numpy:w32"] = dict(row)
+        path = tmp_path / "envelope.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SimulationError, match="'numpy' backend was "
+                                                  "removed"):
+            PerfEnvelope.load(path)
 
     def test_margin_bounds(self):
         with pytest.raises(SimulationError, match="margin"):

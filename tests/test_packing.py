@@ -8,6 +8,7 @@ settled-observer boundary for stateful (PC-set) programs.  Shifted
 programs must fall back with no behavior change.
 """
 
+import random
 from array import array
 
 import pytest
@@ -525,3 +526,111 @@ class TestPatternBlockErrors:
         sim = LCCSimulator(fig1_circuit, backend=backend, word_width=8)
         with pytest.raises(SimulationError, match="not an integer"):
             sim.apply_vectors([[0, 1, 1], [1, value, 0]])
+
+
+# ----------------------------------------------------------------------
+# LCCSimulator on the shared CompiledSimulator executor
+# ----------------------------------------------------------------------
+#: Every valid (packed, tiles, probes) point: probes pin one tile.
+FACADE_POINTS = [
+    (packed, tiles, probes)
+    for packed in ("auto", False)
+    for tiles in (1, 3, "auto")
+    for probes in (False, True)
+    if not (probes and tiles == 3)
+]
+
+
+class TestMergedFacade:
+    """Every LCC batch surface agrees with the scalar ``step`` loop."""
+
+    #: Past one wrap-free probe part at word_width=8 (255 vectors).
+    VECTORS = 300
+
+    @pytest.fixture(scope="class")
+    def circuit(self):
+        return random_dag_circuit(num_inputs=6, num_gates=30, seed=21)
+
+    @staticmethod
+    def _sim(circuit, backend, packed, tiles, probes, word_width=8):
+        sim = LCCSimulator(
+            circuit, backend=backend, word_width=word_width,
+            packed=packed, tiles=tiles, probes=probes or None,
+        )
+        if probes:
+            sim.probe_reset()
+        return sim
+
+    def test_is_a_compiled_simulator(self, circuit):
+        sim = LCCSimulator(circuit)
+        assert isinstance(sim, CompiledSimulator)
+        # Memoryless: runs without reset().
+        assert sim.apply_vector([0] * len(circuit.inputs))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("packed,tiles,probes", FACADE_POINTS)
+    def test_batch_surfaces_match_step_loop(
+        self, circuit, backend, packed, tiles, probes
+    ):
+        rows = vectors_for(circuit, self.VECTORS, seed=22)
+        ref = compile_program(
+            generate_lcc_program(circuit, word_width=8), backend
+        )
+        expected = [ref.step(list(row)) for row in rows]
+        applied = self._sim(circuit, backend, packed, tiles, probes)
+        assert applied.apply_vectors(rows) == expected
+
+        prepared = self._sim(circuit, backend, packed, tiles, probes)
+        prepare = (
+            prepared.prepare_batch if packed is False
+            else prepared.prepare_packed
+        )
+        prepared.run_prepared(prepare(rows))
+        assert prepared.counters.vectors == len(rows)
+        if probes:
+            stepped = self._sim(circuit, backend, False, 1, True)
+            for row in rows:
+                stepped.apply_vector(row)
+            want = stepped.activity_report()
+            for sim in (applied, prepared):
+                report = sim.activity_report()
+                assert report.vectors == len(rows)
+                assert report.toggles == want.toggles
+        elif packed is False:
+            assert prepared.machine.dump_state() == ref.dump_state()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("packed,tiles,probes", FACADE_POINTS)
+    def test_multibit_words_run_unmasked_scalar(
+        self, circuit, backend, packed, tiles, probes
+    ):
+        rng = random.Random(23)
+        rows = [
+            [rng.randrange(256) for _ in circuit.inputs] for _ in range(20)
+        ]
+        sim = self._sim(circuit, backend, packed, tiles, probes)
+        if probes:
+            with pytest.raises(SimulationError, match="0/1"):
+                sim.apply_vectors(rows)
+            return
+        expected = [sim.machine.step(row) for row in rows]
+        assert expected != [
+            sim.machine.step([value & 1 for value in row]) for row in rows
+        ]
+        assert sim.apply_vectors(rows) == expected
+        # One scalar run_block batch on the untiled machine.
+        assert sim.machine.counters.batches == 1
+        assert sim.counters.vectors == len(rows)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("packed,tiles,probes", FACADE_POINTS)
+    def test_run_batch_checksum_matches_zero_delay(
+        self, circuit, backend, packed, tiles, probes
+    ):
+        rows = vectors_for(circuit, 100, seed=24)
+        sim = self._sim(
+            circuit, backend, packed, tiles, probes, word_width=32
+        )
+        assert sim.run_batch(rows) == (
+            ZeroDelaySimulator(circuit).run_batch(rows)
+        )

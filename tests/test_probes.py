@@ -156,6 +156,26 @@ class TestFastPathIdentity:
         assert report.toggles == ref.toggles
         assert report.functional == ref.functional
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_memoryless_pcset_program_stays_scalar(self, backend):
+        # This PC-set program reads nothing before writing it, so it is
+        # "full"-mode packable — but PC-set counters see lane 0 only,
+        # so probed batches must not pattern-pack.
+        circuit = random_dag_circuit(7, num_inputs=3, num_gates=4)
+        vectors = [list(v) for v in vectors_for(circuit, 12, seed=7)]
+        sim = PCSetSimulator(
+            circuit, backend=backend, word_width=8, probes=True
+        )
+        assert sim.packing_mode == "full"
+        sim.reset([0] * len(circuit.inputs))
+        for start in range(0, len(vectors), 3):
+            sim.apply_vectors(vectors[start:start + 3])
+        assert sim.activity_report().toggles == (
+            reference(circuit, vectors).toggles
+        )
+        with pytest.raises(SimulationError, match="not pattern-packable"):
+            sim.prepare_packed(vectors)
+
     def test_small_width_chunking_never_wraps(self):
         # w8 leaves tiny per-counter headroom; long batches must drain
         # mid-flight and still sum exactly.

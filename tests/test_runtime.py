@@ -438,3 +438,82 @@ def test_opt_level_auto_downgrade():
     machine = CMachine(big)
     assert machine.opt_level == "-O0"
     machine.cleanup()
+
+
+#: Loads a generated library with plain ctypes, sizes its buffers from
+#: the library's own ``num_outputs``/``num_state`` exports, runs one
+#: batch through its exported ``run_block`` and dumps the state; prints
+#: both as JSON.  It runs in a child process, so a crash inside the
+#: library fails the test instead of killing the test run.
+_STANDALONE_LOADER = r"""
+import ctypes, json, sys
+
+spec = json.loads(sys.argv[1])
+word = {8: ctypes.c_uint8, 16: ctypes.c_uint16, 32: ctypes.c_uint32,
+        64: ctypes.c_uint64}[spec["word_width"]]
+lib = ctypes.CDLL(spec["library"])
+symbol = spec["symbols"]
+rows = spec["rows"]
+count = len(rows)
+vectors = (word * sum(map(len, rows)))(
+    *[value for row in rows for value in row]
+)
+out = (word * (count * lib[symbol["num_outputs"]]()))()
+state = (word * lib[symbol["num_state"]]())()
+lib[symbol["run_block"]](vectors, ctypes.c_long(count), out)
+lib[symbol["dump_state"]](state)
+print(json.dumps({"out": list(out), "state": list(state)}))
+"""
+
+
+@NEED_CC
+@pytest.mark.parametrize("technique", ["zero-lcc", "pcset"])
+def test_standalone_artifact_matches_in_process(tmp_path, technique):
+    """``repro-sim compile -l c`` output runs when built on its own.
+
+    The library is built with nothing but ``cc -O1 -shared -fPIC`` — no
+    linker options — and must then compute exactly what the
+    in-process machine compiled from the same program does.
+    """
+    import json
+    import subprocess
+    import sys
+
+    from repro.cli import main, resolve_circuit
+    from repro.codegen.program import C_SYMBOL_PREFIX, ENTRY_POINTS
+    from repro.harness.runner import build_simulator
+    from repro.harness.vectors import vectors_for
+
+    source = tmp_path / "machine.c"
+    library = tmp_path / "machine.so"
+    assert main([
+        "compile", "rca8", "-t", technique, "-l", "c",
+        "-o", str(source),
+    ]) == 0
+    subprocess.run(
+        [have_c_compiler(), "-O1", "-shared", "-fPIC", str(source),
+         "-o", str(library)],
+        check=True, capture_output=True, timeout=120,
+    )
+    circuit = resolve_circuit("rca8")
+    program = build_simulator(circuit, technique, word_width=32).program
+    rows = vectors_for(circuit, 24, seed=5)
+    symbols = {ep.name: ep.c_symbol for ep in ENTRY_POINTS}
+    for query in ("num_outputs", "num_state"):
+        symbols[query] = C_SYMBOL_PREFIX + query
+    with compile_program(program, "c", use_cache=False) as machine:
+        out = []
+        machine.run_block(rows, out)
+        state = machine.dump_state()
+        spec = {
+            "library": str(library),
+            "word_width": program.word_width,
+            "rows": rows,
+            "symbols": symbols,
+        }
+    child = subprocess.run(
+        [sys.executable, "-c", _STANDALONE_LOADER, json.dumps(spec)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, (child.returncode, child.stderr)
+    assert json.loads(child.stdout) == {"out": out, "state": state}

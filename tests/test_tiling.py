@@ -20,11 +20,7 @@ from repro.codegen.packing import (
     tile_groups,
 )
 from repro.codegen.program import Assign, Bin, Const, Emit, Input, Program, Var
-from repro.codegen.runtime import (
-    compile_program,
-    have_c_compiler,
-    have_numpy,
-)
+from repro.codegen.runtime import compile_program, have_c_compiler
 from repro.errors import BackendError, SimulationError
 from repro.faults.simulator import run_fault_simulation
 from repro.fuzz.lattice import FuzzConfig
@@ -35,7 +31,6 @@ from repro.parallel.simulator import ParallelSimulator
 from repro.pcset.simulator import PCSetSimulator
 
 BACKENDS = ("python",) + (("c",) if have_c_compiler() else ())
-ALL_BACKENDS = BACKENDS + (("numpy",) if have_numpy() else ())
 
 
 def _program_with_state():
@@ -73,7 +68,7 @@ class TestEmitterStability:
 class TestTiledMachineIdentity:
     """A K-tile machine is K independent copies of the K=1 machine."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("tiles", [2, 3])
     def test_lanes_are_independent(self, backend, tiles):
         p = _program_with_state()
@@ -95,7 +90,7 @@ class TestTiledMachineIdentity:
         for t in range(tiles):
             assert [got[o * tiles + t] for o in range(n_out)] == want[t]
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_state_roundtrip_is_tile_minor(self, backend):
         p = _program_with_state()
         tiled = compile_program(p, backend, tiles=2)
@@ -242,41 +237,9 @@ class TestTiledFaultGrading:
             assert tiled == base
 
 
-class TestNumpyBackend:
-    @pytest.mark.skipif(have_numpy() is None, reason="numpy missing")
-    def test_protocol_matches_python(self):
-        p = _program_with_state()
-        py = compile_program(p, "python")
-        np_m = compile_program(p, "numpy")
-        rng = random.Random(9)
-        vectors = [[rng.randrange(256), rng.randrange(256)]
-                   for _ in range(10)]
-        for v in vectors:
-            assert np_m.step(v) == py.step(v)
-        assert np_m.dump_state() == py.dump_state()
-        np_m.load_state([7])
-        py.load_state([7])
-        flat_a, flat_b = [], []
-        np_m.run_block(vectors, flat_a)
-        py.run_block(vectors, flat_b)
-        assert flat_a == flat_b
-
-    @pytest.mark.skipif(have_numpy() is None, reason="numpy missing")
-    def test_lcc_numpy_identity(self):
-        circuit = random_dag_circuit(61, num_inputs=4, num_gates=16)
-        vectors = vectors_for(circuit, 20, seed=61)
-        base = LCCSimulator(circuit, word_width=8).apply_vectors(vectors)
-        for tiles in (1, 2):
-            sim = LCCSimulator(circuit, word_width=8, backend="numpy",
-                               tiles=tiles)
-            assert sim.apply_vectors(vectors) == base
-
-    def test_missing_numpy_raises_backenderror(self, monkeypatch):
-        import repro.codegen.runtime as runtime
-
-        monkeypatch.setattr(runtime, "_NUMPY", None)
-        monkeypatch.setattr(runtime, "_NUMPY_PROBED", True)
-        with pytest.raises(BackendError, match="numpy is not installed"):
+class TestRemovedBackend:
+    def test_numpy_is_an_unknown_backend(self):
+        with pytest.raises(BackendError, match="unknown backend"):
             compile_program(_program_with_state(), "numpy")
 
 
