@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install check test fuzz-smoke fuzz-campaign fuzz-distill bench bench-json bench-telemetry bench-tiled bench-replay bench-probes bench-quick examples lint clean
+.PHONY: install check test fuzz-smoke fuzz-campaign fuzz-distill bench bench-json bench-telemetry bench-replay bench-probes bench-quick examples lint clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || \
@@ -27,7 +27,6 @@ check:
 	done
 	$(MAKE) bench-json REPRO_BENCH_SCALE=0.1
 	$(MAKE) bench-telemetry
-	$(MAKE) bench-tiled REPRO_BENCH_SCALE=0.05
 	$(MAKE) bench-replay REPRO_BENCH_REPLAY_CYCLES=4000
 	$(MAKE) bench-probes REPRO_BENCH_VECTORS=4096
 	$(MAKE) fuzz-campaign
@@ -45,8 +44,7 @@ fuzz-smoke:
 
 # The continuous campaign (~120 s budget): deterministic coverage
 # preamble over every execution surface (scalar, batched, packed,
-# tiled, laned-shift, sequential replay w/ restore,
-# probed, faults), random lattice exploration for the rest of the
+# sequential replay w/ restore, probed, faults), random lattice exploration for the rest of the
 # budget, then the perf oracles against a machine-calibrated envelope.
 # --perf auto enforces the throughput floors except under CI=1 or on
 # <4-CPU machines, where measurements reflect contention, not code —
@@ -82,15 +80,6 @@ bench-json:
 # costs <= 2% and enabled <= 5% on the packed C-backend workload.
 bench-telemetry:
 	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_telemetry_overhead.py
-
-# Lane-tiling measurement: refreshes
-# benchmarks/results/tiled_throughput.{txt,json} and the repo-root
-# BENCH_tiled.json snapshot, asserting the K-tile packed and laned
-# shift runs are bit-identical to the untiled ones on every backend
-# (the speedup floors — tiled >= single-word packed, laned shift
-# >= 2x the scalar chain — apply on the C backend only).
-bench-tiled:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_tiled.py
 
 # Sequential replay measurement: refreshes
 # benchmarks/results/replay.{txt,json} and the repo-root

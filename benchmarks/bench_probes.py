@@ -57,7 +57,7 @@ def _plain_run_prepared(self, prepared) -> None:
     """The pre-probe ``run_prepared``: bare dispatch, no probe hooks."""
     if not self._settled:
         raise SimulationError("call reset() before running")
-    machine, [(payload, passes, _vectors)], _seeds = prepared
+    machine, [(payload, passes, _vectors)] = prepared
     if isinstance(machine, CMachine):
         machine.run_packed(payload, passes)
         return

@@ -217,38 +217,14 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tiles_option(args: argparse.Namespace) -> dict:
-    """Tile kwargs for the harness factories.
-
-    ``--tiles 0`` means automatic selection
-    (:func:`repro.codegen.packing.select_tiles`); 1 — the default —
-    stays off the kwargs entirely so the historical code path (and the
-    interpreted techniques, which never grew the kwarg) is untouched.
-    """
-    tiles = getattr(args, "tiles", 1)
-    if tiles == 0:
-        return {"tiles": "auto"}
-    if tiles > 1:
-        return {"tiles": tiles}
-    return {}
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     circuit = resolve_circuit(args.circuit, args.scale)
     vectors = vectors_for(circuit, args.vectors, args.seed)
-    options = _tiles_option(args)
-    if options and args.technique in ("interp2", "interp3",
-                                      "zero-interp"):
-        raise SystemExit(
-            f"--tiles applies to compiled techniques only, "
-            f"not {args.technique!r}"
-        )
     sim = build_simulator(
         circuit,
         args.technique,
         word_width=args.word_width,
         backend=args.backend,
-        **options,
     )
     zeros = [0] * len(circuit.inputs)
     if args.technique in ("interp2", "interp3"):
@@ -380,7 +356,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     report = grade_faults(
         circuit, vectors,
         word_width=args.word_width, backend=args.backend,
-        **_tiles_option(args),
     )
     print(f"{circuit.name}: {report.num_faults} stuck-at faults, "
           f"{len(report.detected)} detected by {args.vectors} random "
@@ -402,15 +377,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     vectors = vectors_for(circuit, args.vectors, args.seed)
     rows = []
     baseline: Optional[float] = None
-    tiles = _tiles_option(args)
     for technique in args.techniques:
-        options = dict(tiles)
-        if technique in ("interp2", "interp3", "zero-interp"):
-            options = {}
         run = run_technique(
             circuit, technique, vectors,
             backend=args.backend, word_width=args.word_width,
-            **options,
         )
         result = time_run(
             run, label=technique, num_vectors=len(vectors),
@@ -468,14 +438,14 @@ def _fuzz_injection(name: str):
     from repro.fuzz import (
         MUTATIONS,
         inject_emitter_bug,
-        inject_tile_bug,
+        inject_slot_bug,
     )
 
     if name in MUTATIONS:
         return inject_emitter_bug(name)
-    if name == "tile-boundary":
-        return inject_tile_bug()
-    choices = sorted(MUTATIONS) + ["tile-boundary"]
+    if name == "slot-order":
+        return inject_slot_bug()
+    choices = sorted(MUTATIONS) + ["slot-order"]
     raise SystemExit(
         f"unknown --inject-bug {name!r}; choose from {choices}"
     )
@@ -636,7 +606,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     seq = resolve_sequential(args.circuit, args.scale)
     tape = Tape(args.tape)
-    options = _tiles_option(args)
     cache = program_cache()
     before = cache.stats()
     sim = CompiledSequentialSimulator(
@@ -645,7 +614,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         backend=args.backend,
         word_width=args.word_width,
         incremental=args.incremental,
-        **options,
     )
     after = cache.stats()
     result = replay_tape(
@@ -701,15 +669,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="scale factor for synthetic ISCAS85 analogs (default 1.0)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def _add_tiles_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--tiles", type=int, default=1, metavar="K",
-            help="words per net in packed compiled passes "
-                 "(word_width*K pattern lanes per pass; results are "
-                 "bit-identical at any K; 0 = automatic selection, "
-                 "default 1)",
-        )
 
     def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
         # Options must live on each subparser: argparse stops matching
@@ -768,7 +727,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                        choices=["python", "c"])
     p_sim.add_argument("-w", "--word-width", type=int, default=32,
                        choices=[8, 16, 32, 64])
-    _add_tiles_arg(p_sim)
     _add_telemetry_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -845,7 +803,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                           choices=["python", "c"])
     p_faults.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
-    _add_tiles_arg(p_faults)
     _add_telemetry_args(p_faults)
     p_faults.set_defaults(func=_cmd_faults)
 
@@ -863,7 +820,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                          choices=["python", "c"])
     p_bench.add_argument("-w", "--word-width", type=int, default=32,
                          choices=[8, 16, 32, 64])
-    _add_tiles_arg(p_bench)
     _add_telemetry_args(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -934,7 +890,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_fc.add_argument(
         "--inject-bug", default=None, metavar="MUTATION",
         help="self-test: inject a known bug (nor-as-or, xnor-as-xor, "
-             "nand-as-and, not-as-buf, tile-boundary) and verify the "
+             "nand-as-and, not-as-buf, slot-order) and verify the "
              "campaign catches it",
     )
     p_fc.add_argument(
@@ -1039,7 +995,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                           choices=["python", "c"])
     p_replay.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
-    _add_tiles_arg(p_replay)
     p_replay.add_argument(
         "--incremental", action="store_true",
         help="evaluate the core through per-fanin-cone programs "

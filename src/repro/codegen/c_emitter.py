@@ -31,7 +31,6 @@ from repro.codegen.program import (
     Stmt,
     Un,
     Var,
-    retarget_stmt,
 )
 from repro.errors import CodegenError
 
@@ -108,65 +107,12 @@ def _statement_lines(
     return lines
 
 
-def _tile_index(program: Program) -> str:
-    """A loop-index name no program variable shadows."""
-    used = set(program.state_vars) | set(program.temp_vars)
-    name = "t"
-    while name in used:
-        name = "_" + name
-    return name
-
-
-def _tiled_statement_lines(
-    stmts: list[Stmt], word_type: str, tiles: int, indent: str, idx: str
-) -> list[str]:
-    """Each statement becomes one tight ``for (t...)`` loop over the tiles.
-
-    All per-net storage is an array of ``tiles`` words and the loops
-    are independent per iteration, which is the shape gcc's
-    auto-vectorizer turns into SIMD — the super-word scaling the tiled
-    path is after.  Vector reads are slot-major (``V[s*K + t]``).
-    """
-    lines: list[str] = []
-    for stmt in stmts:
-        if isinstance(stmt, Comment):
-            lines.append(f"{indent}/* {stmt.text} */")
-            continue
-        tiled = retarget_stmt(
-            stmt,
-            lambda name: f"{name}[{idx}]",
-            lambda slot: f"V[{slot * tiles} + {idx}]",
-        )
-        lines.append(f"{indent}for ({idx} = 0; {idx} < {tiles}; {idx}++) {{")
-        if isinstance(tiled, Assign):
-            rhs = render_expr_c(tiled.expr, word_type)
-            lines.append(f"{indent}    {tiled.dest} = {rhs};")
-        elif isinstance(tiled, Emit):
-            rhs = render_expr_c(tiled.expr, word_type)
-            lines.append(f"{indent}    OUT[{idx}] = ({rhs}) & OUTMASK;")
-        else:
-            raise CodegenError(f"unknown statement: {stmt!r}")
-        lines.append(f"{indent}}}")
-        if isinstance(tiled, Emit):
-            lines.append(f"{indent}OUT += {tiles};")
-    return lines
-
-
-def emit_c(program: Program, tiles: int = 1) -> str:
-    """Produce the full C source of the shared-library machine.
-
-    ``tiles=K`` turns every net into an array of K words and every
-    statement into a K-iteration loop (see
-    :func:`_tiled_statement_lines`); ``tiles=1`` is byte-identical to
-    the historical single-word emitter output.
-    """
+def emit_c(program: Program) -> str:
+    """Produce the full C source of the shared-library machine."""
     program.validate()
-    if tiles < 1:
-        raise CodegenError(f"tiles must be >= 1, got {tiles}")
     word_type = C_WORD_TYPES[program.word_width]
     suffix = "ULL" if word_type == "uint64_t" else "U"
-    idx = _tile_index(program)
-    interface = program.interface(tiles)
+    interface = program.interface()
     lines: list[str] = [
         f"/* generated by repro - program {program.name!r} */",
         "#include <stdint.h>",
@@ -193,12 +139,9 @@ def emit_c(program: Program, tiles: int = 1) -> str:
             "",
         ]
     for name in program.state_vars:
-        init = f"{program.state_init[name]}{suffix}"
-        if tiles == 1:
-            lines.append(f"static word {name} = {init};")
-        else:
-            fill = ", ".join([init] * tiles)
-            lines.append(f"static word {name}[{tiles}] = {{{fill}}};")
+        lines.append(
+            f"static word {name} = {program.state_init[name]}{suffix};"
+        )
     lines.append("")
     num_outputs = interface.output_words
     symbol = {ep.name: ep.c_symbol for ep in ENTRY_POINTS}
@@ -207,34 +150,12 @@ def emit_c(program: Program, tiles: int = 1) -> str:
     lines.append(f"int {C_SYMBOL_PREFIX}num_outputs(void) "
                  f"{{ return {num_outputs}; }}")
     lines.append("")
-    if tiles == 1:
-        lines.append(f"void {symbol['step']}(const word *V, word *OUT) {{")
-    else:
-        # restrict lets the vectorizer assume V/OUT never alias the
-        # static state arrays — without it every 8-iteration tile loop
-        # gets a runtime overlap check that eats the SIMD win.
-        lines.append(
-            f"void {symbol['step']}(const word *restrict V, "
-            "word *restrict OUT) {"
-        )
+    lines.append(f"void {symbol['step']}(const word *V, word *OUT) {{")
     if program.temp_vars:
-        if tiles == 1:
-            decl = ", ".join(program.temp_vars)
-        else:
-            decl = ", ".join(f"{t}[{tiles}]" for t in program.temp_vars)
-        lines.append(f"    word {decl};")
-    if tiles > 1:
-        lines.append(f"    int {idx};")
+        lines.append(f"    word {', '.join(program.temp_vars)};")
     lines.append("    (void)V; (void)OUT;")
-    if tiles == 1:
-        lines += _statement_lines(program.init, program, word_type, "    ")
-        lines += _statement_lines(program.body, program, word_type, "    ")
-        lines += _statement_lines(program.output, program, word_type, "    ")
-    else:
-        for section in (program.init, program.body, program.output):
-            lines += _tiled_statement_lines(
-                section, word_type, tiles, "    ", idx
-            )
+    for section in (program.init, program.body, program.output):
+        lines += _statement_lines(section, program, word_type, "    ")
     lines.append("}")
     lines.append("")
     num_inputs = max(1, interface.vector_words)
@@ -264,27 +185,15 @@ def emit_c(program: Program, tiles: int = 1) -> str:
     lines.append("}")
     lines.append("")
     lines.append(f"void {symbol['dump_state']}(word *S) {{")
-    if tiles > 1 and program.state_vars:
-        lines.append(f"    int {idx};")
     lines.append("    (void)S;")
     for i, name in enumerate(program.state_vars):
-        if tiles == 1:
-            lines.append(f"    S[{i}] = {name};")
-        else:
-            lines.append(f"    for ({idx} = 0; {idx} < {tiles}; {idx}++)"
-                         f" S[{i * tiles} + {idx}] = {name}[{idx}];")
+        lines.append(f"    S[{i}] = {name};")
     lines.append("}")
     lines.append("")
     lines.append(f"void {symbol['load_state']}(const word *S) {{")
-    if tiles > 1 and program.state_vars:
-        lines.append(f"    int {idx};")
     lines.append("    (void)S;")
     for i, name in enumerate(program.state_vars):
-        if tiles == 1:
-            lines.append(f"    {name} = S[{i}];")
-        else:
-            lines.append(f"    for ({idx} = 0; {idx} < {tiles}; {idx}++)"
-                         f" {name}[{idx}] = S[{i * tiles} + {idx}];")
+        lines.append(f"    {name} = S[{i}];")
     lines.append("}")
     lines.append("")
     return "\n".join(lines)

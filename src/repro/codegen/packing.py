@@ -47,38 +47,7 @@ Two IR operators cross lanes and disqualify a program:
     monitored outputs).
 ``"none"``
     The program contains shifts or negates; one word cannot carry
-    multiple lanes.  Such *shift programs* still pack — but with one
-    word per (net, lane), so the time-shift operations move history
-    within a lane instead of across lanes: see `Per-lane packing`_.
-
-Tiling — past the word_width ceiling
-------------------------------------
-Lane packing caps at ``word_width`` vectors per dispatch.  Compiling a
-program with ``tiles=K`` (see :func:`~repro.codegen.runtime\
-.compile_program`) turns every net into an array of K words, so one
-pass carries ``word_width * K`` pattern lanes.  The layout is
-*slot-major* everywhere — input slot ``s`` tile ``t`` at vector index
-``s*K + t``, and likewise for state and output words — which is what
-:class:`~repro.codegen.program.MachineInterface` declares and all
-three emitters honor.  :func:`select_tiles` picks K from the batch
-size (the single-word path is the K=1 special case);
-:func:`packed_apply`/:func:`packed_bits` transparently drive tiled
-machines.
-
-Per-lane packing (shift programs)
----------------------------------
-A tiled machine also unlocks the §3 parallel technique: give each of
-the K tiles its *own* scalar lane — one word per (net, lane) — and the
-shifts move history within that lane exactly as the scalar chain
-would.  Correctness needs one more property, declared by the program
-as ``state_carry="finals"``: cross-vector dependence flows only
-through the previous vector's settled finals.  Then a batch of n
-vectors splits into K contiguous segments (:func:`lane_segments`),
-lane t seeded from the settled state after the last vector of segment
-t-1, and every lane's passes are bit-identical to the scalar chain —
-outputs *and* final state.  The simulator layer
-(:meth:`repro.simbase.CompiledSimulator.apply_vectors`) owns the
-seeding; this module owns the segmentation and eligibility.
+    multiple lanes, so such *shift programs* run one vector per pass.
 
 Caller-supplied lane words are validated against the program's word
 width (:class:`~repro.errors.SimulationError` on overflow) rather than
@@ -91,7 +60,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from repro import telemetry
@@ -107,7 +75,6 @@ from repro.codegen.program import (
 from repro.errors import SimulationError
 
 __all__ = [
-    "MAX_TILES",
     "is_shift_free",
     "packing_mode",
     "validate_packed_words",
@@ -117,17 +84,8 @@ __all__ = [
     "unpack_patterns",
     "packed_apply",
     "packed_bits",
-    "select_tiles",
-    "select_lanes",
     "tile_groups",
-    "lane_segments",
 ]
-
-#: Ceiling of the automatic tile/lane selection.  Prototyped on gcc:
-#: per-statement tile loops auto-vectorize well up to 8 words, while
-#: compile time grows linearly — past 8 the marginal speedup no longer
-#: pays for the longer compiles.
-MAX_TILES = 8
 
 
 # ----------------------------------------------------------------------
@@ -205,39 +163,34 @@ _BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 _ASCII_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _place_slot(buffer, slot: int, words, slots: int, tiles: int) -> None:
+def _place_slot(buffer, slot: int, words, slots: int) -> None:
     """Write one slot's lane words into a slot-major pass buffer.
 
-    ``words[p*K + t]`` lands at pass ``p``, slot ``slot``, tile ``t``:
-    index ``p*slots*K + slot*K + t`` — the vector layout a machine
-    compiled with ``tiles=K`` consumes.
+    ``words[p]`` lands at pass ``p``, slot ``slot``: index
+    ``p*slots + slot``.
     """
-    stride = slots * tiles
-    for t in range(tiles):
-        buffer[slot * tiles + t::stride] = words[t::tiles]
+    buffer[slot::slots] = words
 
 
 class PatternBlock:
     """``count`` scalar 0/1 vectors as per-input bit planes.
 
     ``planes[k]`` is an int whose bit ``j`` is input ``k`` of vector
-    ``j``.  A block is also a machine's packed input: ``tiles`` says
-    which K-tile machine it is laid out for, ``groups`` how many lane
-    words each plane is split into (``ceil(count / word_width)``, plus
-    one when :meth:`laid_out` appends the all-zeros fill group), and
-    ``extra`` holds constant words for slots after the planes (every
-    lane, tile and pass alike).  ``len(block)`` is the number of
-    compiled passes, ``ceil(groups / tiles)``.
+    ``j``.  A block is also a machine's packed input: each plane is
+    split into one lane word per compiled pass (``ceil(count /
+    word_width)`` passes, plus one when :meth:`laid_out` appends the
+    all-zeros fill pass), and ``extra`` holds constant words for slots
+    after the planes (every lane and pass alike).  ``len(block)`` is
+    the number of compiled passes.
 
     :attr:`buffer` is the slot-major pass buffer, an ``array`` of
-    machine words: pass ``p``, slot ``s``, tile ``t`` is word
-    ``p*K + t`` of slot ``s``.  Its words fit the width by
-    construction, so machines take it without per-word validation.
+    machine words: pass ``p``, slot ``s`` is word ``p*slots + s``.
+    Its words fit the width by construction, so machines take it
+    without per-word validation.
     """
 
     __slots__ = (
-        "planes", "count", "word_width", "tiles", "groups", "extra",
-        "_buffer",
+        "planes", "count", "word_width", "passes", "extra", "_buffer",
     )
 
     def __init__(
@@ -246,16 +199,14 @@ class PatternBlock:
         count: int,
         word_width: int,
         *,
-        tiles: int = 1,
-        groups: Optional[int] = None,
+        passes: Optional[int] = None,
         extra: Sequence[int] = (),
     ) -> None:
         self.planes = planes
         self.count = count
         self.word_width = word_width
-        self.tiles = tiles
-        self.groups = (
-            -(-count // word_width) if groups is None else groups
+        self.passes = (
+            -(-count // word_width) if passes is None else passes
         )
         self.extra = list(extra)
         self._buffer = None
@@ -304,17 +255,16 @@ class PatternBlock:
         return cls(planes, count, word_width)
 
     def laid_out(
-        self, tiles: int = 1, *, fill: bool = False,
-        extra: Sequence[int] = (),
+        self, *, fill: bool = False, extra: Sequence[int] = (),
     ) -> "PatternBlock":
-        """These planes as the input of a K-tile machine.
+        """These planes as a machine input with extra passes or slots.
 
-        ``fill`` appends one all-zeros group after the last real one
+        ``fill`` appends one all-zeros pass after the last real one
         (see :func:`packed_apply`); ``extra`` appends constant slots.
         """
         return PatternBlock(
-            self.planes, self.count, self.word_width, tiles=tiles,
-            groups=-(-self.count // self.word_width) + fill, extra=extra,
+            self.planes, self.count, self.word_width,
+            passes=-(-self.count // self.word_width) + fill, extra=extra,
         )
 
     def part(self, start: int, count: int) -> "PatternBlock":
@@ -326,7 +276,7 @@ class PatternBlock:
         )
 
     def __len__(self) -> int:
-        return -(-self.groups // self.tiles)
+        return self.passes
 
     @property
     def slots(self) -> int:
@@ -340,7 +290,7 @@ class PatternBlock:
         """Plane ``k`` split into lane words, padded to whole passes."""
         words = array(self.typecode)
         words.frombytes(self.planes[k].to_bytes(
-            len(self) * self.tiles * self.word_width // 8, "little"
+            len(self) * self.word_width // 8, "little"
         ))
         if _BIG_ENDIAN:
             words.byteswap()
@@ -351,27 +301,21 @@ class PatternBlock:
         """The slot-major pass buffer (built on first use)."""
         if self._buffer is None:
             code = self.typecode
-            padded = len(self) * self.tiles
             buffer = array(code, bytes(
-                padded * self.slots * array(code).itemsize
+                len(self) * self.slots * array(code).itemsize
             ))
             for k in range(len(self.planes)):
-                _place_slot(
-                    buffer, k, self.lane_words(k), self.slots, self.tiles
-                )
+                _place_slot(buffer, k, self.lane_words(k), self.slots)
             self._buffer = buffer
             for index, word in enumerate(self.extra):
                 self.set_extra(index, word)
         return self._buffer
 
     def set_extra(self, index: int, word: int) -> None:
-        """Set constant slot ``index`` in every lane, tile and pass."""
+        """Set constant slot ``index`` in every lane and pass."""
         self.extra[index] = word
-        words = array(self.typecode, [word]) * (len(self) * self.tiles)
-        _place_slot(
-            self.buffer, len(self.planes) + index, words, self.slots,
-            self.tiles,
-        )
+        words = array(self.typecode, [word]) * len(self)
+        _place_slot(self.buffer, len(self.planes) + index, words, self.slots)
 
     def split(self) -> list["PatternBlock"]:
         """One single-pass block per pass, sharing this buffer.
@@ -379,8 +323,8 @@ class PatternBlock:
         :meth:`set_extra` on this block shows through every part.
         """
         view = memoryview(self.buffer)
-        stride = self.slots * self.tiles
-        lanes = self.word_width * self.tiles
+        stride = self.slots
+        lanes = self.word_width
         lane_mask = (1 << lanes) - 1
         parts = []
         for p in range(len(self)):
@@ -389,8 +333,7 @@ class PatternBlock:
                 [(plane >> first) & lane_mask for plane in self.planes],
                 max(0, min(lanes, self.count - first)),
                 self.word_width,
-                tiles=self.tiles,
-                groups=self.tiles,
+                passes=1,
             )
             part.extra = self.extra
             part._buffer = view[p * stride:(p + 1) * stride]
@@ -401,24 +344,15 @@ class PatternBlock:
         """Output planes of a run over this block.
 
         ``words`` is the flat output of ``run_packed_block`` (an
-        ``array`` of this block's typecode): pass ``p``, output ``o``,
-        tile ``t`` at ``(p*num_outputs + o)*K + t``.  Returns one int
-        per output whose bit ``j`` is that output's word bit of lane
-        ``j`` of the group sequence — so bit ``g*word_width + j`` is
-        lane ``j`` of group ``g``.
+        ``array`` of this block's typecode): pass ``p``, output ``o``
+        at ``p*num_outputs + o``.  Returns one int per output whose
+        bit ``j`` is that output's word bit of lane ``j`` of the pass
+        sequence — so bit ``p*word_width + j`` is lane ``j`` of pass
+        ``p``.
         """
-        tiles = self.tiles
-        stride = num_outputs * tiles
         planes = []
         for o in range(num_outputs):
-            if tiles == 1:
-                column = words[o::stride]
-            else:
-                column = array(words.typecode, bytes(
-                    len(self) * tiles * words.itemsize
-                ))
-                for t in range(tiles):
-                    column[t::tiles] = words[o * tiles + t::stride]
+            column = words[o::num_outputs]
             if _BIG_ENDIAN:
                 column.byteswap()
             planes.append(int.from_bytes(column, "little"))
@@ -497,7 +431,7 @@ def pack_patterns(
     """
     with telemetry.span("pack"):
         block = pattern_block(vectors, word_width)
-        groups = block.groups
+        groups = len(block)
         mask = (1 << word_width) - 1
         planes = [
             [(plane >> (g * word_width)) & mask for g in range(groups)]
@@ -532,99 +466,27 @@ def unpack_patterns(
 
 
 # ----------------------------------------------------------------------
-# tiling
+# pass rows
 # ----------------------------------------------------------------------
-def select_tiles(
-    num_vectors: int,
-    word_width: int,
-    *,
-    backend: str = "python",
-    max_tiles: int = MAX_TILES,
-) -> int:
-    """Pick the tile count K for a pattern-packed batch.
-
-    Never more tiles than pattern groups (a pass must not be mostly
-    padding), capped at ``max_tiles``.  The Python backend gets K=1:
-    its tiled source is unrolled K-fold, so wider passes only trade
-    interpreter dispatch for identical bytecode volume — the tile win
-    is the C auto-vectorizer's.  An explicit ``tiles=K`` at the
-    simulator layer overrides this policy on any backend.
-    """
-    if backend != "c" or num_vectors <= 0:
-        selected = 1
-    else:
-        groups = -(-num_vectors // word_width)
-        selected = max(1, min(max_tiles, groups))
-    if telemetry.enabled() and selected > 1:
-        telemetry.counter("pack.tile.selected")
-        telemetry.gauge("pack.tile.max_k", selected)
-    return selected
-
-
-def select_lanes(
-    num_vectors: int,
-    *,
-    backend: str = "python",
-    max_lanes: int = MAX_TILES,
-) -> int:
-    """Pick the lane count for per-lane (shift-program) packing.
-
-    Each lane costs one interpreted steady-state settle for its seed,
-    so short batches stay scalar; the floor of 16 vectors per lane
-    keeps the seeding overhead under a few percent of the compiled
-    passes it saves.  Python backend: 1, as for :func:`select_tiles`.
-    """
-    if backend != "c" or num_vectors < 32:
-        selected = 1
-    else:
-        selected = max(1, min(max_lanes, num_vectors // 16))
-    if telemetry.enabled() and selected > 1:
-        telemetry.counter("pack.shift.selected")
-        telemetry.gauge("pack.shift.max_k", selected)
-    return selected
-
-
 def tile_groups(
     groups: Sequence[Sequence[int]], num_inputs: int, tiles: int
 ) -> list[list[int]]:
-    """Flatten K consecutive scalar groups into one slot-major pass row.
+    """Flatten K consecutive scalar groups into one slot-major row.
 
     Row ``p`` carries groups ``p*K .. p*K+K-1`` with input slot ``s``
-    tile ``t`` at index ``s*K + t`` — the vector layout a machine
-    compiled with ``tiles=K`` consumes.  The tail is padded with
-    all-zeros groups (they simulate the all-zeros vector and their
-    outputs are never read back).  A list-of-words view of the
-    :class:`PatternBlock` layout.
+    of group ``p*K + t`` at index ``s*K + t``; the tail is padded with
+    all-zeros groups.  A list-of-words view kept for the end-to-end
+    benchmark's tracer, which binds this name.
     """
     passes = -(-len(groups) // tiles)
     padding = [0] * (passes * tiles - len(groups))
-    buffer = array("Q", bytes(8 * passes * num_inputs * tiles))
-    for s in range(num_inputs):
-        words = array("Q", [group[s] for group in groups] + padding)
-        _place_slot(buffer, s, words, num_inputs, tiles)
-    flat = buffer.tolist()
+    flat = [0] * (passes * num_inputs * tiles)
     stride = num_inputs * tiles
+    for s in range(num_inputs):
+        words = [group[s] for group in groups] + padding
+        for t in range(tiles):
+            flat[s * tiles + t::stride] = words[t::tiles]
     return [flat[p * stride:(p + 1) * stride] for p in range(passes)]
-
-
-def lane_segments(total: int, lanes: int) -> list[tuple[int, int]]:
-    """Contiguous ``(start, length)`` per lane for a batch of ``total``.
-
-    The remainder goes to the *last* lanes, so lane ``lanes-1`` always
-    ends at vector ``total-1`` — its final state is the batch's final
-    state, which is what the laned runner hands back to the scalar
-    machine for exact chain continuity.
-    """
-    if lanes < 1:
-        raise SimulationError(f"lanes must be >= 1, got {lanes}")
-    base, rem = divmod(total, lanes)
-    segments: list[tuple[int, int]] = []
-    start = 0
-    for t in range(lanes):
-        length = base + (1 if t >= lanes - rem else 0)
-        segments.append((start, length))
-        start += length
-    return segments
 
 
 # ----------------------------------------------------------------------
@@ -633,27 +495,21 @@ def lane_segments(total: int, lanes: int) -> list[tuple[int, int]]:
 def _run_columns(machine, block: PatternBlock, *, fill: bool) -> list[int]:
     """Run ``block`` through ``machine``; return its output planes.
 
-    With ``fill`` an all-zeros group follows the real ones, so bit
-    ``groups*word_width`` of each plane is the all-zeros vector's
+    With ``fill`` an all-zeros pass follows the real ones, so bit
+    ``passes*word_width`` of each plane is the all-zeros vector's
     output (the :func:`packed_apply` reconstruction source).
     """
-    tiles = machine.tiles
-    run = block.laid_out(tiles, fill=fill)
+    run = block.laid_out(fill=fill)
     flat = array(run.typecode)
-    with (telemetry.span("pack.tile", tiles=tiles) if tiles > 1
-          else nullcontext()):
-        machine.run_packed_block(run, flat, vectors_represented=block.count)
-    if tiles > 1 and telemetry.enabled():
-        telemetry.counter("pack.tile.batches")
-        telemetry.counter("pack.tile.vectors", block.count)
-    return run.columns(flat, machine.num_outputs // tiles)
+    machine.run_packed_block(run, flat, vectors_represented=block.count)
+    return run.columns(flat, machine.num_outputs)
 
 
 def packed_bits(machine, vectors) -> list[list[int]]:
     """Run ``vectors`` pattern-packed; return per-vector output *bits*.
 
     ``vectors`` is a :class:`PatternBlock` or a list of 0/1 rows.  One
-    compiled pass per ``word_width * tiles`` vectors.  Each returned
+    compiled pass per ``word_width`` vectors.  Each returned
     list holds the low bit of every emitted output word — the logical
     values a scalar pass would produce in lane 0.  The caller is
     responsible for eligibility (``packing_mode`` full, or settled with
@@ -677,8 +533,8 @@ def packed_apply(machine, vectors) -> list[list[int]]:
     all higher bits 0 — exactly a packed pass over lanes
     ``[v, 0, 0, ...]``.  So the raw word a scalar pass emits is the
     packed lane-``j`` bit in bit 0 plus the all-zeros vector's emitted
-    word in the high bits.  One extra all-zeros group appended to the
-    batch supplies that fill word: every lane of the group emits the
+    word in the high bits.  One extra all-zeros pass appended to the
+    batch supplies that fill word: every lane of the pass emits the
     same bit, so each output's fill is that bit replicated over the
     high bits, applied to the whole output column at once.
     """
@@ -690,7 +546,7 @@ def packed_apply(machine, vectors) -> list[list[int]]:
     with telemetry.span("unpack"):
         count = block.count
         high = program.word_mask ^ 1
-        # Lane 0 of the fill group, right after the real groups.
+        # Lane 0 of the fill pass, right after the real passes.
         width = block.word_width
         zeros_bit = -(-count // width) * width
         columns = []

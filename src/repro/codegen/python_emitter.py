@@ -49,7 +49,6 @@ from repro.codegen.program import (
     Stmt,
     Un,
     Var,
-    retarget_stmt,
 )
 from repro.errors import CodegenError
 
@@ -163,65 +162,14 @@ def _statement_lines(
     return lines
 
 
-def _tiled_statements(stmts: list[Stmt], tiles: int) -> list[Stmt]:
-    """Unroll each statement over the tiles (tile-minor order).
-
-    Every tile gets its own suffixed local (``n12__t3``) and its own
-    vector slice (slot-major: slot ``s`` tile ``t`` reads ``V[s*K+t]``),
-    so the unrolled statements stay independent word programs — exactly
-    the layout :class:`~repro.codegen.program.MachineInterface` declares.
-    """
-    out: list[Stmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, Comment):
-            out.append(stmt)
-            continue
-        for t in range(tiles):
-            out.append(retarget_stmt(
-                stmt,
-                lambda name, t=t: f"{name}__t{t}",
-                lambda slot, t=t: f"V[{slot * tiles + t}]",
-            ))
-    return out
-
-
-def emit_python(program: Program, tiles: int = 1) -> str:
-    """Produce the full Python source of the coroutine machine.
-
-    ``tiles=K`` unrolls every statement K times over per-tile locals,
-    so one pass carries ``word_width * K`` pattern lanes (or K
-    independent per-lane shift words); ``tiles=1`` is byte-identical
-    to the historical single-word emitter output.
-    """
+def emit_python(program: Program) -> str:
+    """Produce the full Python source of the coroutine machine."""
     program.validate()
-    if tiles < 1:
-        raise CodegenError(f"tiles must be >= 1, got {tiles}")
-    if tiles == 1:
-        state_names = list(program.state_vars)
-        inits = program.state_init
-        init, body, output = program.init, program.body, program.output
-    else:
-        state_names = [
-            f"{name}__t{t}"
-            for name in program.state_vars
-            for t in range(tiles)
-        ]
-        inits = {
-            f"{name}__t{t}": program.state_init[name]
-            for name in program.state_vars
-            for t in range(tiles)
-        }
-        init = _tiled_statements(program.init, tiles)
-        body = _tiled_statements(program.body, tiles)
-        output = _tiled_statements(program.output, tiles)
+    state_names = program.state_vars
     lines: list[str] = [
         f"# generated by repro - program {program.name!r}",
         f"# word width {program.word_width}, "
         f"{len(program.state_vars)} state vars",
-    ]
-    if tiles > 1:
-        lines.append(f"# tiles {tiles}")
-    lines += [
         "def machine():",
         f"    MASK = {program.word_mask}",
         f"    OUTMASK = {program.output_mask}",
@@ -233,7 +181,7 @@ def emit_python(program: Program, tiles: int = 1) -> str:
             "(lambda x: bin(x).count('1'))"
         )
     for name in state_names:
-        lines.append(f"    {name} = {inits[name]}")
+        lines.append(f"    {name} = {program.state_init[name]}")
     op = OPCODES
     lines.append("    cmd = yield None")
     lines.append("    while 1:")
@@ -248,9 +196,8 @@ def emit_python(program: Program, tiles: int = 1) -> str:
     lines.append("            _append = OUT.append")
     lines.append("            for V in VS:")
     body_indent = "                "
-    lines += _statement_lines(init, program, body_indent)
-    lines += _statement_lines(body, program, body_indent)
-    lines += _statement_lines(output, program, body_indent)
+    for section in (program.init, program.body, program.output):
+        lines += _statement_lines(section, program, body_indent)
     # A bare ``pass`` keeps the loop syntactically valid when every
     # section is empty (or holds only comments); it compiles to no
     # bytecode, so populated programs pay nothing for it.

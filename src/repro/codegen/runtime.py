@@ -10,9 +10,7 @@ Two backends share the :class:`Machine` interface:
   ``ctypes``.  This restores the genuinely compiled character of the
   original work; use it for absolute performance numbers.
 
-``compile_program(program, backend=...)`` picks one.  Every backend
-accepts ``tiles=K`` (tiled execution: each net holds K words, one pass
-carries ``word_width * K`` lanes; see :mod:`repro.codegen.packing`).
+``compile_program(program, backend=...)`` picks one.
 
 Batched execution
 -----------------
@@ -123,61 +121,28 @@ def have_c_compiler(force: bool = False) -> Optional[str]:
     return None
 
 
-_NATIVE_ARCH: Optional[bool] = None
-
-
-def _have_native_arch(compiler: str) -> bool:
-    """Whether the compiler accepts ``-march=native`` (cached probe).
-
-    Tiled machines want the host's full SIMD width — the baseline
-    x86-64 target is SSE2, which lacks even a 64-bit arithmetic shift.
-    The generated libraries are compiled on the host they run on, so
-    targeting it exactly is safe.
-    """
-    global _NATIVE_ARCH
-    if _NATIVE_ARCH is None:
-        with tempfile.TemporaryDirectory(prefix="repro_cc_") as probe:
-            c_path = os.path.join(probe, "probe.c")
-            with open(c_path, "w") as handle:
-                handle.write("int probe(int x) { return x + 1; }\n")
-            result = subprocess.run(
-                [compiler, "-march=native", "-c", c_path,
-                 "-o", os.path.join(probe, "probe.o")],
-                capture_output=True,
-            )
-            _NATIVE_ARCH = result.returncode == 0
-    return _NATIVE_ARCH
-
-
 def program_fingerprint(source: str) -> str:
     """Content hash of a generated source text (the cache key core)."""
     return hashlib.sha256(source.encode()).hexdigest()
 
 
-def cache_fingerprint(program: "Program", source: str, tiles: int) -> str:
+def cache_fingerprint(program: "Program", source: str) -> str:
     """The fingerprint half of a program-cache key.
 
     Programs carrying a semantic ``content_key`` (e.g. per-fanin-cone
     hashes from :mod:`repro.codegen.incremental`) are keyed on it
     directly — the key already determines the source, so hashing the
-    text again would only slow the hit path.  Tiled lowerings change
-    the source for the same program, hence the ``-t{K}`` qualifier
-    (the backend name and opt level are separate key components).
-    Probe-instrumented programs carry a ``probe_key`` (set by
-    :mod:`repro.codegen.probes`); it qualifies the key the same way,
-    so an instrumented program never aliases its uninstrumented twin —
-    and a probes-off program keeps its historical fingerprint exactly.
+    text again would only slow the hit path (the backend name and opt
+    level are separate key components).  Probe-instrumented programs
+    carry a ``probe_key`` (set by :mod:`repro.codegen.probes`); it
+    qualifies the key, so an instrumented program never aliases its
+    uninstrumented twin — and a probes-off program keeps its
+    historical fingerprint exactly.
     """
-    content_key = getattr(program, "content_key", None)
+    key = getattr(program, "content_key", None)
+    if key is None:
+        key = program_fingerprint(source)
     probe_key = getattr(program, "probe_key", None)
-    if content_key is None:
-        fingerprint = program_fingerprint(source)
-        if probe_key is not None:
-            return f"{fingerprint}-p{probe_key}"
-        return fingerprint
-    key = content_key
-    if tiles != 1:
-        key = f"{key}-t{tiles}"
     if probe_key is not None:
         key = f"{key}-p{probe_key}"
     return key
@@ -383,11 +348,13 @@ class Machine:
     """
 
     program: Program
+    #: Words per net: always one.  The end-to-end benchmark records it
+    #: in its plan, so it stays readable.
+    tiles = 1
 
-    def __init__(self, program: Program, tiles: int = 1) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
-        self.tiles = tiles
-        self.interface = program.interface(tiles)
+        self.interface = program.interface()
         self.counters = BatchCounters()
 
     def _record_batch(self, vectors: int, seconds: float) -> None:
@@ -448,7 +415,7 @@ class Machine:
         """Run pattern-packed groups inside the generated code.
 
         ``groups`` is a :class:`~repro.codegen.packing.PatternBlock`
-        laid out for this machine's tiles, or a list of pass rows of
+        laid out for this machine, or a list of pass rows of
         ``num_inputs`` lane words each (bit ``j`` of word ``k`` = input
         ``k`` of packed vector ``j``).  Emitted packed words are
         appended flat to ``out`` in pass order.  Caller-supplied rows
@@ -457,7 +424,7 @@ class Machine:
         every lane on the C backend; a block's words fit by
         construction.  ``vectors_represented`` is what the throughput
         counters record (default: the block's vector count, or full
-        rows, ``len(groups) * word_width * tiles``).
+        rows, ``len(groups) * word_width``).
         """
         raise NotImplementedError
 
@@ -470,7 +437,7 @@ class Machine:
             return vectors_represented
         if isinstance(groups, PatternBlock):
             return groups.count
-        return len(groups) * self.program.word_width * self.tiles
+        return len(groups) * self.program.word_width
 
     def _check_block(self, block: PatternBlock) -> None:
         """A block must be laid out for exactly this machine.
@@ -479,14 +446,12 @@ class Machine:
         cannot know the input count.
         """
         if len(block) and (
-                block.tiles != self.tiles
-                or block.word_width != self.program.word_width
-                or block.slots * block.tiles != self.num_inputs):
+                block.word_width != self.program.word_width
+                or block.slots != self.num_inputs):
             raise BackendError(
-                f"pattern block of {block.slots} slots x {block.tiles} "
-                f"tiles at word_width={block.word_width} does not fit a "
-                f"machine of {self.num_inputs} input words x "
-                f"{self.tiles} tiles at "
+                f"pattern block of {block.slots} slots at "
+                f"word_width={block.word_width} does not fit a machine "
+                f"of {self.num_inputs} input words at "
                 f"word_width={self.program.word_width}"
             )
 
@@ -498,7 +463,7 @@ class Machine:
             )
         # Name the scalar vectors an overflowing lane word would
         # corrupt, not just the width limit.
-        lanes = self.program.word_width * self.tiles
+        lanes = self.program.word_width
         first = index * lanes
         validate_packed_words(
             group, self.program.word_width,
@@ -538,19 +503,8 @@ class Machine:
         raise NotImplementedError
 
     def state_dict(self) -> dict[str, int]:
-        """Persistent state keyed by variable name.
-
-        Tiled machines key each tile separately (``name@t``), keeping
-        the flat tile-minor dump order.
-        """
-        if self.tiles == 1:
-            return dict(zip(self.program.state_vars, self.dump_state()))
-        names = [
-            f"{name}@{t}"
-            for name in self.program.state_vars
-            for t in range(self.tiles)
-        ]
-        return dict(zip(names, self.dump_state()))
+        """Persistent state keyed by variable name."""
+        return dict(zip(self.program.state_vars, self.dump_state()))
 
     def cleanup(self) -> None:
         """Release backend artifacts (no-op unless a backend overrides)."""
@@ -566,16 +520,15 @@ class PythonMachine(Machine):
     """Generated Python coroutine backend."""
 
     def __init__(
-        self, program: Program, *, tiles: int = 1, use_cache: bool = True
+        self, program: Program, *, use_cache: bool = True
     ) -> None:
-        super().__init__(program, tiles)
-        self.source = program.python_source(tiles=tiles)
+        super().__init__(program)
+        self.source = program.python_source()
         filename = f"<repro:{program.name}>"
         code = None
         key = None
         if use_cache:
-            key = (cache_fingerprint(program, self.source, tiles),
-                   "python", "")
+            key = (cache_fingerprint(program, self.source), "python", "")
             code = _PROGRAM_CACHE.get(key)
         if code is None:
             with telemetry.span("cc", backend="python",
@@ -682,35 +635,22 @@ class CMachine(Machine):
         self,
         program: Program,
         *,
-        tiles: int = 1,
         opt_level: Optional[str] = None,
         keep_artifacts: bool = False,
         work_dir: Optional[str] = None,
         use_cache: bool = True,
     ) -> None:
-        super().__init__(program, tiles)
+        super().__init__(program)
         self._cleaned = True  # nothing to clean until paths exist
         compiler = have_c_compiler()
         if compiler is None:
             raise BackendError(
                 "no C compiler found; use the python backend instead"
             )
-        self.source = program.c_source(tiles=tiles)
+        self.source = program.c_source()
         if opt_level is None:
             big = program.stats().source_lines > self.O0_LINE_THRESHOLD
-            if big:
-                opt_level = "-O0"
-            elif tiles > 1:
-                # The tiled emitter's per-statement loops only pay off
-                # as SIMD: -O1 never vectorizes them, the baseline
-                # x86-64 target caps the lanes at SSE2 widths, and
-                # unrolling the constant-trip tile loops lets nets
-                # live in vector registers across statements.
-                opt_level = "-O2 -ftree-vectorize -funroll-loops"
-                if _have_native_arch(compiler):
-                    opt_level += " -march=native"
-            else:
-                opt_level = "-O1"
+            opt_level = "-O0" if big else "-O1"
         self.opt_level = opt_level
         self._dir_owned = work_dir is None
         self._dir = work_dir or tempfile.mkdtemp(prefix="repro_c_")
@@ -721,8 +661,7 @@ class CMachine(Machine):
         self._c_path = c_path
         self._so_path = so_path
         self._cleaned = False
-        key = (cache_fingerprint(program, self.source, self.tiles),
-               "c", opt_level)
+        key = (cache_fingerprint(program, self.source), "c", opt_level)
         cached = _PROGRAM_CACHE.get(key) if use_cache else None
         if cached is not None:
             # Copy (never link): the dynamic loader dedupes by inode,
@@ -959,9 +898,7 @@ def compile_program(
 ) -> Machine:
     """Compile a program with the chosen backend, ``python`` or ``c``.
 
-    Both backends accept ``tiles=K`` for tiled execution — every net
-    becomes K words and one pass carries ``word_width * K`` lanes — and
-    ``use_cache=False`` to bypass the process-wide
+    Both backends accept ``use_cache=False`` to bypass the process-wide
     :class:`ProgramCache`.
     """
     if backend == "python":

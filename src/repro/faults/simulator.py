@@ -57,12 +57,7 @@ from array import array
 from typing import Mapping, Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.packing import (
-    PatternBlock,
-    is_shift_free,
-    pattern_block,
-    select_tiles,
-)
+from repro.codegen.packing import PatternBlock, is_shift_free, pattern_block
 from repro.codegen.probes import ProbeSpec
 from repro.codegen.program import Assign, Bin, Emit, Input, Program, Var
 from repro.codegen.runtime import compile_program
@@ -174,16 +169,11 @@ class ParallelFaultSimulator:
       if the program is not shift-free;
     - ``"auto"`` (default): ``"packed"`` when eligible, else
       ``"scalar"``.  The two modes produce identical reports.
-
-    ``tiles`` widens the packed-pattern passes past the word width:
-    a K-tile machine carries ``word_width * K`` patterns per compiled
-    pass (see :mod:`repro.codegen.packing`), so both the good pre-pass
-    and every per-fault detection screen run K pattern groups per
-    call.  ``"auto"`` consults
-    :func:`~repro.codegen.packing.select_tiles`; the scalar lane loop
-    is unaffected (its lanes carry faults, not patterns).  Reports are
-    bit-identical at every K.
     """
+
+    #: Words per net: always one.  The end-to-end benchmark records it
+    #: in its plan, so it stays readable.
+    tiles = 1
 
     #: Vectors per batched machine call.  Large enough to amortize the
     #: dispatch into the generated ``run_block`` loop, small enough that
@@ -199,13 +189,8 @@ class ParallelFaultSimulator:
         monitored: Optional[list[str]] = None,
         instrument: str = "all",
         patterns: str = "auto",
-        tiles: "int | str" = 1,
         probes=None,
     ) -> None:
-        if tiles != "auto":
-            tiles = int(tiles)
-            if tiles < 1:
-                raise SimulationError(f"tiles must be >= 1: {tiles}")
         if instrument not in ("all", "batch"):
             raise SimulationError(
                 f"instrument must be 'all' or 'batch': {instrument!r}"
@@ -238,11 +223,7 @@ class ParallelFaultSimulator:
             for net_name, _t, identifier in self.variables.ordered
         }
         self.lanes_per_batch = word_width - 1
-        self.tiles = tiles
         self._all_machine = None
-        #: K -> tiled compilation of the shared all-nets program
-        #: (instrument="all" only; K=1 lives in ``_all_machine``).
-        self._all_tiled: dict = {}
         self._all_nets = sorted(circuit.nets)
         # The instrumentation only splices in &/| masking statements, so
         # pattern-packing eligibility is decided by the base program.
@@ -262,36 +243,19 @@ class ParallelFaultSimulator:
         """Pre-build and compile the shared all-nets machine.
 
         A no-op with ``instrument="batch"`` (those machines are
-        per-batch by design).  An explicit ``tiles=K`` warms the K-tile
-        machine too; ``"auto"`` can't (K depends on the vector count),
-        so the first run pays that compile.
+        per-batch by design).
         """
         if self.instrument == "all":
             self._machine_for(self._all_nets)
-            if isinstance(self.tiles, int) and self.tiles > 1:
-                self._machine_for(self._all_nets, self.tiles)
 
     def batch_counters(self):
         """The shared machine's :class:`BatchCounters`.
 
         ``None`` until an ``instrument="all"`` machine exists (i.e.
-        before any run, or always in ``"batch"`` mode).  Once tiled
-        screens have run, an aggregate over the scalar and every
-        K-tile machine is returned instead of the live object.
+        before any run, or always in ``"batch"`` mode).
         """
         machine = self._all_machine
-        if machine is None:
-            return None
-        if not self._all_tiled:
-            return machine.counters
-        from repro.codegen.runtime import BatchCounters
-
-        total = BatchCounters()
-        for m in (machine, *self._all_tiled.values()):
-            total.batches += m.counters.batches
-            total.vectors += m.counters.vectors
-            total.seconds += m.counters.seconds
-        return total
+        return None if machine is None else machine.counters
 
     def good_activity(
         self,
@@ -326,41 +290,18 @@ class ParallelFaultSimulator:
             sim.apply_vectors([list(vector) for vector in vectors])
             return sim.activity_report()
 
-    def _packed_tiles(self, num_groups: int) -> int:
-        """Tile count for packed screens over ``num_groups`` groups.
-
-        Clamped to the group count — a detection pass should never be
-        mostly padding.
-        """
-        if self.tiles == "auto":
-            tiles = select_tiles(
-                num_groups * self.word_width, self.word_width,
-                backend=self.backend,
-            )
-        else:
-            tiles = self.tiles
-        return max(1, min(tiles, max(1, num_groups)))
-
-    def _machine_for(self, faulted_nets: list[str], tiles: int = 1):
+    def _machine_for(self, faulted_nets: list[str]):
         """(machine, net -> (mask_slot, value_slot)) for a batch."""
         if self.instrument == "batch":
             program = self._instrumented_program(faulted_nets)
-            machine = compile_program(program, self.backend, tiles=tiles)
+            machine = compile_program(program, self.backend)
             nets = faulted_nets
         else:
-            if tiles == 1:
-                machine = self._all_machine
-            else:
-                machine = self._all_tiled.get(tiles)
+            machine = self._all_machine
             if machine is None:
                 program = self._instrumented_program(self._all_nets)
-                machine = compile_program(
-                    program, self.backend, tiles=tiles
-                )
-                if tiles == 1:
-                    self._all_machine = machine
-                else:
-                    self._all_tiled[tiles] = machine
+                machine = compile_program(program, self.backend)
+                self._all_machine = machine
             nets = self._all_nets
         base_inputs = len(self._base.inputs)
         slots = {
@@ -480,10 +421,6 @@ class ParallelFaultSimulator:
                     [[v & 1 for v in vector] for vector in vectors],
                     self.word_width,
                 )
-            tiles = self._packed_tiles(block.groups)
-            if tiles > 1 and telemetry.enabled():
-                telemetry.counter("pack.tile.batches")
-                telemetry.counter("pack.tile.vectors", len(vectors))
             # Nets in a constant cone keep their settled value in a
             # *state* variable that passes read but (when unfaulted)
             # never recompute; a fault pinned on such a net would
@@ -492,11 +429,10 @@ class ParallelFaultSimulator:
             # mode does per batch.  For input-driven nets the load is
             # scratch (overwritten every pass), so any settled state
             # gives the same — serial-identical — finals.
-            # Marshalled once per run, tile-minor like every state dump.
+            # Marshalled once per run.
             state = array(block.typecode, [
                 (-(settled[net_name] & 1)) & mask
                 for net_name, _t, _i in self.variables.ordered
-                for _tile in range(tiles)
             ])
             # The good words are fault-independent (every mask input is
             # all-ones, so the splices are identities) — computed once
@@ -509,7 +445,7 @@ class ParallelFaultSimulator:
             batch = list(faults[start:start + self.lanes_per_batch])
             if packed:
                 outcome, goods = self._run_batch_packed(
-                    batch, block, mask, goods, state, tiles
+                    batch, block, mask, goods, state
                 )
             else:
                 with telemetry.span("fault.screen"):
@@ -606,7 +542,6 @@ class ParallelFaultSimulator:
         mask: int,
         goods: Optional[list[int]],
         state: array,
-        tiles: int,
     ) -> tuple[list[Optional[int]], list[int]]:
         """First detections for a fault batch, patterns in the lanes.
 
@@ -621,24 +556,19 @@ class ParallelFaultSimulator:
         The pass buffer — pattern planes plus the fault mask/value
         slots, all-ones masks and zero values — is laid out once per
         batch; each screen patches only its own fault's two slots and
-        restores them afterwards.  With ``tiles=K`` each compiled pass
-        carries K consecutive pattern groups (tile ``t`` of output slot
-        ``o`` sits at ``o*K + t``); the scan walks tiles in group
-        order, so the first detecting group — and within it the lowest
-        detecting lane — is found exactly as in the one-group-per-pass
-        loop.
+        restores them afterwards.  The scan walks passes in order, so
+        the first detecting pass and within it the lowest detecting
+        lane give the first detecting vector.
         """
         faulted_nets = sorted({fault.net for fault in batch})
-        machine, nets, _slots = self._machine_for(faulted_nets, tiles)
-        run = block.laid_out(
-            tiles, extra=[mask] * len(nets) + [0] * len(nets)
-        )
+        machine, nets, _slots = self._machine_for(faulted_nets)
+        run = block.laid_out(extra=[mask] * len(nets) + [0] * len(nets))
         if goods is None:
             with telemetry.span("fault.good"):
                 goods = self._good_packed(machine, run, state)
         passes = run.split()
         slot_of = {net: k for k, net in enumerate(nets)}
-        n_out = machine.num_outputs // tiles
+        n_out = machine.num_outputs
         width = self.word_width
         first_detection: list[Optional[int]] = []
         for fault in batch:
@@ -656,23 +586,14 @@ class ParallelFaultSimulator:
                     machine.run_packed_block(
                         part, out, vectors_represented=part.count
                     )
-                    base = p * tiles
-                    for t in range(min(tiles, block.groups - base)):
-                        g = base + t
-                        diff = 0
-                        for o in range(n_out):
-                            diff |= (
-                                out[o * tiles + t] ^ goods[g * n_out + o]
-                            )
-                        lanes = min(width, block.count - g * width)
-                        diff &= (
-                            mask if lanes == width else (1 << lanes) - 1
-                        )
-                        if diff:
-                            lowest = (diff & -diff).bit_length() - 1
-                            first = g * width + lowest
-                            break
-                    if first is not None:
+                    diff = 0
+                    for o in range(n_out):
+                        diff |= out[o] ^ goods[p * n_out + o]
+                    lanes = min(width, block.count - p * width)
+                    diff &= mask if lanes == width else (1 << lanes) - 1
+                    if diff:
+                        lowest = (diff & -diff).bit_length() - 1
+                        first = p * width + lowest
                         break
                 run.set_extra(mask_slot, mask)
                 run.set_extra(value_slot, 0)
@@ -682,13 +603,11 @@ class ParallelFaultSimulator:
     def _good_packed(
         self, machine, run: PatternBlock, state: array
     ) -> list[int]:
-        """Good-machine pre-pass: output words in per-group layout.
+        """Good-machine pre-pass: output words in pass order.
 
         ``run`` carries all-ones masks and zero values, leaving every
         lane unfaulted, so these are the fault-free settled outputs of
-        every pattern.  Tiled passes are de-interleaved back to
-        group-major order (``goods[g * n_out + o]``) so detection scans
-        are independent of the tile count.
+        every pattern (``goods[p * n_out + o]``).
         """
         flat: list[int] = []
         if run.count:
@@ -696,18 +615,7 @@ class ParallelFaultSimulator:
             machine.run_packed_block(
                 run, flat, vectors_represented=run.count
             )
-        tiles = run.tiles
-        if tiles == 1:
-            return flat
-        n_out = machine.num_outputs // tiles
-        goods: list[int] = []
-        for g in range(run.groups):
-            pass_index, t = divmod(g, tiles)
-            base = pass_index * n_out * tiles
-            goods.extend(
-                flat[base + o * tiles + t] for o in range(n_out)
-            )
-        return goods
+        return flat
 
 
 def serial_fault_simulation(
@@ -761,14 +669,9 @@ def run_fault_simulation(
     backend: str = "python",
     initial: Optional[Sequence[int]] = None,
     patterns: str = "auto",
-    tiles: "int | str" = 1,
     probes=None,
 ) -> FaultReport:
     """Convenience wrapper around :class:`ParallelFaultSimulator`.
-
-    ``tiles`` widens the packed-pattern screens to K pattern groups per
-    compiled pass (``"auto"`` picks K from the vector count;
-    bit-identical report at every K).
 
     An explicitly empty fault list short-circuits to an empty report —
     no simulator is built and no program compiled.
@@ -784,7 +687,7 @@ def run_fault_simulation(
             return FaultReport({}, [], len(vectors))
     simulator = ParallelFaultSimulator(
         circuit, word_width=word_width, backend=backend, patterns=patterns,
-        tiles=tiles, probes=probes,
+        probes=probes,
     )
     report = simulator.run(vectors, faults, initial=initial)
     report.counters = simulator.batch_counters()

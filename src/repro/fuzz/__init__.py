@@ -2,7 +2,7 @@
 
 The execution paths of this library (event-driven reference, PC-set,
 parallel variants, zero-delay LCC; Python and C backends;
-scalar / batched / packed / tiled / sequential-replay / probed
+scalar / batched / packed / sequential-replay / probed
 execution) must agree bit for bit — and stay fast.  This
 package keeps them honest at scale: :func:`run_campaign` explores
 random circuits against a sampled slice of the configuration lattice
@@ -45,7 +45,7 @@ from repro.fuzz.mutation import (
     MUTATIONS,
     inject_emitter_bug,
     inject_slowdown,
-    inject_tile_bug,
+    inject_slot_bug,
 )
 from repro.fuzz.oracles import (
     PerfEnvelope,
@@ -89,7 +89,7 @@ __all__ = [
     "entry_from_failure",
     "inject_emitter_bug",
     "inject_slowdown",
-    "inject_tile_bug",
+    "inject_slot_bug",
     "load_bench",
     "load_corpus",
     "load_entry",

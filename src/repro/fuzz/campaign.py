@@ -181,23 +181,6 @@ def _resolve_perf_mode(perf: str) -> tuple[bool, bool]:
     return True, perf == "observe"
 
 
-def _coverage_tape(
-    circuit: Circuit, config: FuzzConfig, rng: random.Random,
-    max_vectors: int,
-) -> list:
-    """A tape long enough that the config's surfaces actually execute.
-
-    Tiled passes only exist when the batch spans more than one packed
-    group (``_packed_machine`` clamps tiles to the work), so tiled
-    configs get ``2 x width x K`` vectors; everything else uses the
-    campaign's normal tape length.
-    """
-    count = max_vectors
-    if config.tiles > 1:
-        count = max(count, 2 * config.word_width * config.tiles)
-    return vectors_for(circuit, count, seed=rng.getrandbits(32))
-
-
 def _run_coverage_preamble(
     result: CampaignResult,
     rng: random.Random,
@@ -225,7 +208,9 @@ def _run_coverage_preamble(
     result.circuits += 1
     telemetry.counter("fuzz.circuits")
     for config in coverage_configs(backends):
-        vectors = _coverage_tape(circuit, config, rng, max_vectors)
+        vectors = vectors_for(
+            circuit, max_vectors, seed=rng.getrandbits(32)
+        )
         result.configs_checked += 1
         result.note_config(config)
         telemetry.counter("fuzz.configs")

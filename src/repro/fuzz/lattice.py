@@ -4,8 +4,8 @@ Five execution paths must agree bit for bit — the event-driven
 reference, the PC-set method, the parallel variants, both backends,
 and the scalar/packed/batched execution shapes.  A point in the
 lattice is a :class:`FuzzConfig`: *which* differential check to run
-(``check``), on *which* technique, backend, word width, batch size,
-tile count and probe setting.  The campaign
+(``check``), on *which* technique, backend, word width, batch size
+and probe setting.  The campaign
 (:mod:`repro.fuzz.campaign`) samples a slice of the lattice per
 circuit; :func:`run_check` executes one point and raises
 :class:`~repro.harness.compare.Mismatch` on disagreement, which is the
@@ -74,11 +74,9 @@ def check_backend(backend: str) -> None:
 #: The execution surfaces a campaign is expected to cover — the
 #: printed lattice-coverage summary counts drawn configs per surface.
 #: ``replay-restore`` is the clocked check (its third shape resumes a
-#: fresh simulator from a mid-stream checkpoint); ``laned-shift`` is
-#: the K-lane execution of shift programs on the batched path.
+#: fresh simulator from a mid-stream checkpoint).
 SURFACES = (
-    "scalar", "batched", "packed", "tiled", "laned-shift",
-    "replay-restore", "probed", "faults",
+    "scalar", "batched", "packed", "replay-restore", "probed", "faults",
 )
 
 #: Clocked engines exercised by the ``"sequential"`` check.
@@ -112,16 +110,12 @@ class FuzzConfig:
     """One point of the configuration lattice.
 
     ``batch_size`` chunks the tape for the batched/packed/sequential
-    paths (``0`` = the whole tape in one dispatch).  ``tiles`` compiles
-    the technique under test as a K-tile machine (``word_width * K``
-    pattern lanes per packed pass, or K shift-program lanes on the
-    batched path — see :mod:`repro.codegen.packing`); every check's
-    identity contract must hold unchanged at any K.  ``probes``
+    paths (``0`` = the whole tape in one dispatch).  ``probes``
     additionally builds the technique under test with compiled-in
     activity counters and compares them differentially against the
     history-derived reference (or, for the faults check, asserts
-    good-machine activity identity across the scalar/packed/tiled
-    report shapes).
+    good-machine activity identity across the scalar/packed report
+    shapes).
     """
 
     check: str = "history"
@@ -129,7 +123,6 @@ class FuzzConfig:
     backend: str = "python"
     word_width: int = 32
     batch_size: int = 0
-    tiles: int = 1
     probes: bool = False
 
     def __post_init__(self) -> None:
@@ -161,8 +154,6 @@ class FuzzConfig:
                     f"'sequential' check needs an engine from "
                     f"{SEQUENTIAL_ENGINES}: {self.technique!r}"
                 )
-        if not isinstance(self.tiles, int) or self.tiles < 1:
-            raise SimulationError(f"tiles must be >= 1: {self.tiles!r}")
         if self.probes:
             allowed = PROBE_TECHNIQUES.get(self.check)
             if allowed is None:
@@ -176,11 +167,6 @@ class FuzzConfig:
                     f"{self.check!r} check supports probes on "
                     f"techniques {allowed} only: {self.technique!r}"
                 )
-            if self.tiles != 1 and self.check != "faults":
-                raise SimulationError(
-                    "compiled-in probes pin the instrumented machine "
-                    f"to one tile (tiles={self.tiles})"
-                )
 
     def label(self) -> str:
         """Compact human-readable identity (corpus entries, logs)."""
@@ -192,8 +178,6 @@ class FuzzConfig:
         if (self.check in ("batched", "packed", "sequential")
                 and self.batch_size):
             parts.append(f"b{self.batch_size}")
-        if self.tiles > 1:
-            parts.append(f"k{self.tiles}")
         if self.probes:
             parts.append("pr")
         return "/".join(parts)
@@ -203,9 +187,8 @@ class FuzzConfig:
 
         The mapping is by construction of :func:`run_check`: the
         history check steps per vector (scalar), the batched check
-        drives ``apply_vectors`` (and, at K > 1, the laned execution of
-        shift programs), the packed check drives the pattern-lane
-        observation paths (tiled at K > 1), the sequential check always
+        drives ``apply_vectors``, the packed check drives the
+        pattern-lane observation paths, the sequential check always
         includes its mid-stream checkpoint/restore shape, and probes
         ride along on any check that accepts them.
         """
@@ -217,12 +200,6 @@ class FuzzConfig:
             "faults": "faults",
         }[self.check]
         covered = {primary}
-        if self.tiles > 1:
-            covered.add("tiled")
-            if self.check in ("batched", "sequential"):
-                # Shift programs execute K independent lanes here;
-                # shift-free ones take the tiled packed path either way.
-                covered.add("laned-shift")
         if self.probes:
             covered.add("probed")
         return frozenset(covered)
@@ -241,8 +218,6 @@ class FuzzConfig:
         parts.append(self.backend)
         parts.append(f"w{self.word_width}")
         parts.append("chunked" if self.batch_size else "whole")
-        if self.tiles > 1:
-            parts.append(f"k{self.tiles}")
         if self.probes:
             parts.append("pr")
         return "/".join(parts)
@@ -254,8 +229,6 @@ class FuzzConfig:
         # (``from_dict`` refills the default on load).  The ``schema``
         # field is likewise excluded from content addressing
         # (:meth:`repro.fuzz.corpus.CorpusEntry.entry_id`).
-        if data["tiles"] == 1:
-            del data["tiles"]
         if not data["probes"]:
             del data["probes"]
         data["schema"] = CONFIG_SCHEMA
@@ -271,7 +244,9 @@ class FuzzConfig:
         silently truncated config would test the wrong lattice point).
         After upgrading, any key that is not a config field raises
         instead of being ignored: a corpus entry that drifted from the
-        code is a corrupt reproducer, not a best-effort one.
+        code is a corrupt reproducer, not a best-effort one.  The
+        removed ``tiles`` axis loads at its only remaining value, 1;
+        any other value raises.
         """
         data = dict(data)
         schema = data.pop("schema", 1)
@@ -288,6 +263,7 @@ class FuzzConfig:
         while schema < CONFIG_SCHEMA:
             data = _CONFIG_UPGRADES[schema](data)
             schema += 1
+        words_per_net = data.pop("tiles", 1)
         unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         if unknown:
             raise SimulationError(
@@ -296,16 +272,23 @@ class FuzzConfig:
                 f"this dict claims schema {CONFIG_SCHEMA}, so these "
                 f"keys are corruption, not new axes"
             )
-        return cls(**data)
+        config = cls(**data)
+        if words_per_net != 1:
+            raise SimulationError(
+                f"config sets the removed 'tiles' axis to "
+                f"{words_per_net!r}; lane tiling was deleted, so only "
+                f"tiles=1 (one word per net) can be replayed"
+            )
+        return config
 
 
 def _upgrade_config_v1(data: dict) -> dict:
     """Schema 1 -> 2: the pre-``schema`` shape.
 
     Schema 1 dicts predate the explicit version field; every axis they
-    can carry was still a field in schema 2, and axes added since
-    (tiles, probes) serialize only when non-default —
-    the dataclass defaults refill them.  The shim is therefore a
+    can carry was still a field in schema 2, and the axis added since
+    (probes) serializes only when non-default — the dataclass default
+    refills it.  The shim is therefore a
     pass-through.
     """
     return data
@@ -374,14 +357,10 @@ def sample_configs(
         else:
             technique = rng.choice(list(HISTORY_TECHNIQUES))
         batch_size = rng.choice((0, 1, 2, 3, 5, 8))
-        # The tile axis exercises the K-word packed/laned paths; the
-        # history check steps per vector, where K never applies.
-        tiles = rng.choice((1, 2, 4)) if check != "history" else 1
         allowed = PROBE_TECHNIQUES.get(check)
         probes = (
             allowed is not None
             and (not allowed or technique in allowed)
-            and (tiles == 1 or check == "faults")
             and rng.choice((False, False, True))
         )
         configs.append(FuzzConfig(
@@ -390,7 +369,6 @@ def sample_configs(
             backend=backend,
             word_width=word_width,
             batch_size=batch_size,
-            tiles=tiles,
             probes=probes,
         ))
     return configs
@@ -403,9 +381,9 @@ def coverage_configs(
 
     The campaign runs these against its first circuit before random
     sampling takes over, so a bounded run still *draws* scalar,
-    batched, packed, tiled, laned-shift, sequential
-    replay-with-restore, probed and fault-grading configurations —
-    random sampling alone can miss a surface inside a small budget.  The preferred
+    batched, packed, sequential replay-with-restore, probed and
+    fault-grading configurations — random sampling alone can miss a
+    surface inside a small budget.  The preferred
     backend is ``c`` when fuzzed (the production path), else the first
     one given.
     """
@@ -420,13 +398,6 @@ def coverage_configs(
         # packed
         FuzzConfig(check="packed", technique="zero-lcc",
                    backend=backend, word_width=8),
-        # tiled (K-word packed pass)
-        FuzzConfig(check="packed", technique="zero-lcc",
-                   backend=backend, word_width=8, tiles=2),
-        # laned-shift (plain parallel retains shifts most often)
-        FuzzConfig(check="batched", technique="parallel",
-                   backend=backend, word_width=16, batch_size=4,
-                   tiles=2),
         # sequential replay with mid-stream checkpoint/restore
         FuzzConfig(check="sequential", technique="lcc",
                    backend=backend, word_width=16, batch_size=2),
@@ -465,7 +436,6 @@ def run_check(
         word_width=config.word_width,
         execution=execution,
         batch_size=config.batch_size or None,
-        tiles=config.tiles,
     )
     if config.probes:
         checks += _check_probes(circuit, vectors, config)
@@ -584,7 +554,6 @@ def _check_sequential(
             engine=config.technique,
             backend=config.backend,
             word_width=config.word_width,
-            tiles=config.tiles,
         )
 
     # Interpreted reference: the paper's clocked recipe over the
@@ -683,7 +652,7 @@ def _check_sequential(
 
 #: Serial (event-driven, one run per fault) reference is only affordable
 #: on small instances; above these bounds the faults check still
-#: validates scalar-vs-packed(-vs-tiled) identity.
+#: validates scalar-vs-packed identity.
 _SERIAL_MAX_GATES = 30
 _SERIAL_MAX_VECTORS = 10
 
@@ -693,7 +662,7 @@ def _check_faults(
     vectors: Sequence[Sequence[int]],
     config: FuzzConfig,
 ) -> int:
-    """Fault-report identity: scalar vs. packed vs. tiled (vs. serial).
+    """Fault-report identity: scalar vs. packed (vs. serial).
 
     Every report must be equal — same detected map (fault -> first
     detecting vector) and same undetected list.  On small instances the
@@ -748,18 +717,6 @@ def _check_faults(
             f"{packed!r} vs {scalar!r}",
         )
     checks += packed.num_faults + check_activity("packed", packed)
-    if config.tiles > 1:
-        tiled = run_fault_simulation(
-            circuit, vectors, patterns="auto", tiles=config.tiles,
-            **options()
-        )
-        if tiled != scalar:
-            raise Mismatch(
-                f"faults[tiled k{config.tiles}]", -1, [],
-                f"  tiled packed report diverged from scalar: "
-                f"{tiled!r} vs {scalar!r}",
-            )
-        checks += tiled.num_faults + check_activity("tiled", tiled)
     if (circuit.num_gates <= _SERIAL_MAX_GATES
             and len(vectors) <= _SERIAL_MAX_VECTORS):
         serial = serial_fault_simulation(circuit, vectors)

@@ -29,7 +29,7 @@ from repro.logic import GateType
 __all__ = [
     "MUTATIONS",
     "inject_emitter_bug",
-    "inject_tile_bug",
+    "inject_slot_bug",
     "inject_slowdown",
 ]
 
@@ -65,31 +65,28 @@ def _buggy(kind: str):
 
 
 @contextmanager
-def inject_tile_bug():
-    """Context manager: corrupt the K-tile slot-major input layout.
+def inject_slot_bug():
+    """Context manager: corrupt the slot order of packed pass buffers.
 
-    A machine compiled with ``tiles=K`` consumes pass rows with input
-    slot ``s`` tile ``t`` at index ``s*K + t``; the injected bug
-    interleaves them group-major (``t*slots + s``) instead — the
-    classic tile-boundary transposition.  The patched site is
+    A pattern-packed pass buffer holds pass ``p``, input slot ``s`` at
+    index ``p*slots + s``; the injected bug writes every slot's lane
+    words to the mirrored slot ``slots - 1 - s`` instead — the classic
+    transposed-operand layout bug.  The patched site is
     :func:`repro.codegen.packing._place_slot`, which every packed
-    layout goes through (pattern blocks, their constant fault slots,
-    ``tile_groups``).  Any tiled pass over a circuit with more than one
-    input computes with the wrong words, so the campaign's tiled
-    packed checks must disagree with the untiled reference.  Self-test
-    only.
+    buffer goes through (pattern blocks and their constant fault
+    slots).  Any packed pass over a circuit with more than one input
+    slot computes with the wrong words, so the campaign's packed
+    checks must disagree with the reference.  Self-test only.
     """
     from repro.codegen import packing
 
-    def buggy_place_slot(buffer, slot, words, slots, tiles):
-        stride = slots * tiles
-        for t in range(tiles):
-            buffer[t * slots + slot::stride] = words[t::tiles]
+    def buggy_place_slot(buffer, slot, words, slots):
+        buffer[slots - 1 - slot::slots] = words
 
     original = packing._place_slot
     packing._place_slot = buggy_place_slot
     try:
-        yield "pattern layout emits group-major rows (transposed layout)"
+        yield "pattern layout writes slots in mirrored order"
     finally:
         packing._place_slot = original
 

@@ -4,7 +4,7 @@ The repository carries committed ``BENCH_*.json`` snapshots proving the
 paper's "fast" claim and a differential fuzzer proving the "exact"
 claim; this module connects them.  A campaign run measures vectors/sec
 (and compile seconds) for a small set of *perf points* — lattice
-coordinates (surface × technique × backend × width × tiles × probes)
+coordinates (surface × technique × backend × width × probes)
 — against a machine-local *envelope* calibrated
 at campaign start:
 
@@ -75,7 +75,6 @@ MIN_COMPILE_CEILING = 0.25
 BENCH_FIGURES = {
     "packed": "packed_throughput",
     "telemetry": "telemetry_overhead",
-    "tiled": "tiled_throughput",
     "replay": "replay",
     "probes": "probes",
 }
@@ -173,12 +172,16 @@ class PerfPoint:
     technique: str
     backend: str
     word_width: int = 32
-    tiles: int = 1
     probes: bool = False
 
-    SURFACES = ("scalar", "packed", "tiled", "probed")
+    SURFACES = ("scalar", "packed", "probed")
 
     def __post_init__(self) -> None:
+        if self.surface == "tiled":
+            raise SimulationError(
+                "the 'tiled' perf surface was removed with lane tiling; "
+                "a point or floor using it cannot be measured"
+            )
         if self.surface not in self.SURFACES:
             raise SimulationError(
                 f"unknown perf surface {self.surface!r}; choose from "
@@ -191,8 +194,6 @@ class PerfPoint:
             self.surface, self.technique, self.backend,
             f"w{self.word_width}",
         ]
-        if self.tiles > 1:
-            parts.append(f"k{self.tiles}")
         if self.probes:
             parts.append("probes")
         return ":".join(parts)
@@ -203,7 +204,7 @@ class PerfPoint:
         if len(parts) < 4 or not parts[3].startswith("w"):
             raise SimulationError(
                 f"malformed perf point key {key!r} (want "
-                f"surface:technique:backend:wN[:kK][:probes])"
+                f"surface:technique:backend:wN[:probes])"
             )
         surface, technique, backend = parts[0], parts[1], parts[2]
         try:
@@ -212,12 +213,15 @@ class PerfPoint:
             raise SimulationError(
                 f"malformed width in perf point key {key!r}"
             ) from None
-        tiles, probes = 1, False
+        probes = False
         for extra in parts[4:]:
-            if extra.startswith("k"):
-                tiles = int(extra[1:])
-            elif extra == "probes":
+            if extra == "probes":
                 probes = True
+            elif extra.startswith("k"):
+                raise SimulationError(
+                    f"perf point key {key!r} sets the removed tiles "
+                    f"axis ({extra!r}); lane tiling was deleted"
+                )
             else:
                 raise SimulationError(
                     f"malformed segment {extra!r} in perf point key "
@@ -225,7 +229,7 @@ class PerfPoint:
                 )
         return cls(
             surface=surface, technique=technique, backend=backend,
-            word_width=word_width, tiles=tiles, probes=probes,
+            word_width=word_width, probes=probes,
         )
 
 
@@ -292,9 +296,9 @@ def default_points(
 
     Packed throughput is the paper's headline number, so it is
     measured per backend; the scalar block path per backend guards the
-    baseline; the tiled and probed paths are measured on
-    the preferred backend only (they multiply compile time and their
-    regressions are backend-independent layout/orchestration code).
+    baseline; the probed path is measured on the preferred backend
+    only (it multiplies compile time and its regressions are
+    backend-independent orchestration code).
     """
     if backends is None:
         backends = available_backends()
@@ -311,10 +315,6 @@ def default_points(
             surface="scalar", technique="parallel-best",
             backend=backend, word_width=32,
         ))
-    points.append(PerfPoint(
-        surface="tiled", technique="zero-lcc", backend=preferred,
-        word_width=16, tiles=2,
-    ))
     points.append(PerfPoint(
         surface="probed", technique="zero-lcc", backend=preferred,
         word_width=16, probes=True,
@@ -348,10 +348,8 @@ def _runnable_options(point: PerfPoint) -> dict:
         "backend": point.backend,
         "word_width": point.word_width,
     }
-    if point.surface in ("packed", "tiled"):
+    if point.surface == "packed":
         options["packed"] = True
-        if point.tiles > 1:
-            options["tiles"] = point.tiles
     elif point.surface == "probed":
         options["probes"] = True
     return options
@@ -378,10 +376,7 @@ def measure_point(
 
     if circuit is None:
         circuit = calibration_circuit()
-    # Tiled passes need more than one group per pass to exist at all.
-    needed = point.word_width * point.tiles
-    count = max(vectors, 2 * needed)
-    tape = vectors_for(circuit, count, seed=97)
+    tape = vectors_for(circuit, vectors, seed=97)
     start = time.perf_counter()
     runnable = run_technique(
         circuit, point.technique, tape, **_runnable_options(point)
@@ -394,9 +389,9 @@ def measure_point(
         runnable()
         best = min(best, time.perf_counter() - t0)
     return PerfSample(
-        vectors_per_s=count / best if best > 0 else float("inf"),
+        vectors_per_s=vectors / best if best > 0 else float("inf"),
         compile_seconds=compile_seconds,
-        vectors=count,
+        vectors=vectors,
         repeats=repeats,
     )
 
@@ -461,7 +456,8 @@ class PerfEnvelope:
                     f"perf envelope is missing required key {key!r}"
                 )
         for key in data["floors"]:
-            PerfPoint.from_key(key)  # raises on a removed backend
+            # Raises on a removed backend, surface or tiles axis.
+            PerfPoint.from_key(key)
         return cls(
             margin=float(data["margin"]),
             vectors=int(data["vectors"]),

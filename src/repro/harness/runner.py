@@ -161,7 +161,7 @@ def grade_faults(
     The harness counterpart of :func:`build_simulator` for the fault
     workload.  ``options`` pass through to
     :func:`repro.faults.simulator.run_fault_simulation`
-    (``word_width``, ``backend``, ``patterns``, ``tiles``, ...).
+    (``word_width``, ``backend``, ``patterns``, ``probes``, ...).
     """
     from repro.faults.simulator import run_fault_simulation
 

@@ -93,7 +93,7 @@ class LCCSimulator(CompiledSimulator):
     ``run_batch`` times many vectors and folds a checksum compatible
     with the interpreted
     :class:`repro.eventsim.zerodelay.ZeroDelaySimulator`.  Execution
-    — tiles, packing, prepared batches, probes — is the shared
+    — packing, prepared batches, probes — is the shared
     :class:`~repro.simbase.CompiledSimulator` executor; the program is
     memoryless, so no :meth:`reset` is needed before running.
 
@@ -121,9 +121,7 @@ class LCCSimulator(CompiledSimulator):
     :meth:`activity_report` (zero delay sees at most one transition
     per net per vector, so functional toggles equal total toggles).
     Probed batches require plain 0/1 vectors (the counters chain
-    consecutive lanes as consecutive vectors), and tiled execution is
-    unavailable — tiles interleave the packed group sequence, which
-    would break the previous-value chain.
+    consecutive lanes as consecutive vectors).
     """
 
     _words_masked = False
@@ -135,7 +133,6 @@ class LCCSimulator(CompiledSimulator):
         backend: str = "python",
         word_width: int = 32,
         packed: bool | str = "auto",
-        tiles: "int | str" = 1,
         probes=None,
     ) -> None:
         if packed not in (True, False, "auto"):
@@ -143,22 +140,13 @@ class LCCSimulator(CompiledSimulator):
                 f"packed must be True, False or 'auto': {packed!r}"
             )
         spec = ProbeSpec.coerce(probes)
-        if spec is not None:
-            if tiles not in (1, "auto"):
-                raise SimulationError(
-                    "probes chain consecutive packed groups through the "
-                    "per-net previous-value bit; tiled execution "
-                    "interleaves the group order, so tiles > 1 is "
-                    "unavailable with probes"
-                )
-            tiles = 1
         program = generate_lcc_program(circuit, word_width=word_width)
         # Recorded *before* probe instrumentation: the probe statements
         # use shifts and popcounts, which are lane-safe here by
         # construction but would classify the program ``"none"``.
         mode = packing_mode(program)
         super().__init__(
-            circuit, program, backend=backend, tiles=tiles,
+            circuit, program, backend=backend,
             probe_plan=(
                 instrument_lcc_program(program, circuit, spec)
                 if spec is not None else None

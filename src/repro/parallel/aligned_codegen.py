@@ -98,16 +98,12 @@ def _generate_aligned_program(
         trimming=trimming,
     )
     w = word_width
-    # Same cross-pass contract as the unaligned generator: masked
-    # assignments plus finals-only state dependence (see
-    # repro.parallel.codegen), so state_carry="finals" applies here too.
     program = Program(
         f"parallel_{circuit.name}_{alignment.algorithm}"
         + ("_trim" if trimming else ""),
         word_width=w,
         inputs=circuit.inputs,
         mask_assignments=True,
-        state_carry="finals",
     )
 
     const_nets: dict[str, int] = {}

@@ -102,17 +102,11 @@ def _generate_parallel_program(
         trimming=trimming,
     )
     w = word_width
-    # state_carry="finals": every word carries the previous vector's
-    # settled finals in its top bit, and masked assignments keep the
-    # rest of the word derived from those finals — so re-seeding from
-    # the settled state reproduces a pass bit for bit.  This is what
-    # makes shift programs eligible for per-lane packed execution.
     program = Program(
         f"parallel_{circuit.name}" + ("_trim" if trimming else ""),
         word_width=w,
         inputs=circuit.inputs,
         mask_assignments=True,
-        state_carry="finals",
     )
 
     # Declarations.  Constant nets hold their value in every bit and are

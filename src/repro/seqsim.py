@@ -42,11 +42,6 @@ class CompiledSequentialSimulator:
         values only), or ``"parallel"`` / ``"pcset"`` — unit-delay
         compiled cores that additionally expose the intra-cycle
         waveforms via :meth:`step` with ``record=True``.
-    tiles:
-        Threaded through to the combinational engine, where it applies
-        to packed combinational batches (the clocked loop itself is one
-        scalar settle per cycle, so tiling is accepted for API
-        uniformity but does not change the cycle loop's dispatch).
     incremental:
         Evaluate the core through per-fanin-cone programs
         (:class:`repro.codegen.incremental.ConeSimulator`) instead of
@@ -65,7 +60,6 @@ class CompiledSequentialSimulator:
         engine: str = "lcc",
         backend: str = "python",
         word_width: int = 32,
-        tiles: "int | str" = 1,
         incremental: bool = False,
     ) -> None:
         if engine not in self.ENGINES:
@@ -104,8 +98,7 @@ class CompiledSequentialSimulator:
             from repro.lcc.zerodelay import LCCSimulator
 
             self._sim = LCCSimulator(
-                core, backend=backend, word_width=word_width,
-                tiles=tiles,
+                core, backend=backend, word_width=word_width
             )
         elif engine == "parallel":
             from repro.parallel.simulator import ParallelSimulator
@@ -113,14 +106,14 @@ class CompiledSequentialSimulator:
             self._sim = ParallelSimulator(
                 core, optimization="pathtrace+trim",
                 backend=backend, word_width=word_width,
-                monitored=monitored, tiles=tiles,
+                monitored=monitored,
             )
         else:
             from repro.pcset.simulator import PCSetSimulator
 
             self._sim = PCSetSimulator(
                 core, backend=backend, word_width=word_width,
-                monitored=monitored, tiles=tiles,
+                monitored=monitored,
             )
         self._core_inputs = core.inputs
         self._external_input_set = frozenset(sequential.external_inputs)

@@ -16,21 +16,13 @@ from typing import Optional, Sequence
 from repro import telemetry
 from repro.codegen.packing import (
     PatternBlock,
-    lane_segments,
     packed_apply,
     packing_mode,
     pattern_block,
-    select_lanes,
-    select_tiles,
 )
 from repro.codegen.probes import ProbePlan, ProbeRuntime
 from repro.codegen.program import Program
-from repro.codegen.runtime import (
-    BatchCounters,
-    CMachine,
-    Machine,
-    compile_program,
-)
+from repro.codegen.runtime import CMachine, Machine, compile_program
 from repro.errors import SimulationError
 from repro.eventsim.zerodelay import steady_state
 from repro.netlist.circuit import Circuit
@@ -54,17 +46,11 @@ class CompiledSimulator:
         compilation — the configuration benchmarks time, matching the
         paper's methodology of excluding output handling from
         measurements.  Output-decoding APIs then raise.
-    tiles:
-        Tiled/laned batch width: an explicit ``K >= 1`` forces K tiles
-        (pattern-packable programs: ``word_width * K`` lanes per pass)
-        or K lanes (shift programs with ``state_carry="finals"``: one
-        word per lane, the batch split into K contiguous segments);
-        ``"auto"`` picks per batch (see
-        :func:`~repro.codegen.packing.select_tiles` /
-        :func:`~repro.codegen.packing.select_lanes`).  ``1`` (default)
-        is the historical single-word behaviour.  Results are
-        bit-identical either way.
     """
+
+    #: Words per net: always one.  The end-to-end benchmark records it
+    #: in its plan, so it stays readable.
+    tiles = 1
 
     #: Pattern-lane packing policy of ``"full"``-mode programs (see
     #: :meth:`_pattern_block`); a subclass may expose it as a knob.
@@ -83,7 +69,6 @@ class CompiledSimulator:
         backend: str = "python",
         with_outputs: bool = True,
         checksum_mask: Optional[int] = None,
-        tiles: "int | str" = 1,
         probe_plan: Optional[ProbePlan] = None,
         packing_override: Optional[str] = None,
         **backend_kwargs,
@@ -95,15 +80,8 @@ class CompiledSimulator:
         self.checksum_mask = (
             checksum_mask if checksum_mask is not None else program.word_mask
         )
-        if tiles != "auto":
-            tiles = int(tiles)
-            if tiles < 1:
-                raise SimulationError(f"tiles must be >= 1: {tiles}")
-        self.tiles = tiles
         compiled = program if with_outputs else program.without_output()
         self._compiled_program = compiled
-        self._backend_kwargs = backend_kwargs
-        self._tiled_machines: dict[int, Machine] = {}
         self.machine: Machine = compile_program(
             compiled, backend, **backend_kwargs
         )
@@ -233,22 +211,12 @@ class CompiledSimulator:
         When the compiled program is ``"full"``-mode packable
         (shift-free *and* memoryless), a batch of plain 0/1 vectors is
         pattern-packed (see :meth:`_pattern_block`) — ``word_width``
-        vectors per compiled pass, times the tile count when
-        ``tiles > 1`` — exact scalar words reconstructed on unpacking.
-        Shift programs (the §3 parallel technique) whose
-        generator declares ``state_carry="finals"`` run *laned* when
-        ``tiles`` allows: the batch splits into K contiguous segments,
-        each lane owning its own word so the time-shift ops move
-        history within the lane, with lanes 1..K-1 seeded from the
-        steady state of the preceding segment's last vector (exactly
-        what the finals contract guarantees reproduces the chain).
-        ``"settled"`` programs (the PC-set method) emit
-        intermediate-time values with opaque cross-pass state and keep
-        the scalar ``run_block`` loop with no behavior change.  Probed
-        batches run in chunks short enough that no compiled counter
-        can wrap between drains (packed chunks on a ``"full"``
-        program: one tile, so consecutive lanes stay consecutive
-        vectors).
+        vectors per compiled pass — exact scalar words reconstructed on
+        unpacking.  Shift programs (the §3 parallel technique) and
+        ``"settled"`` programs (the PC-set method, whose
+        intermediate-time values depend on cross-pass state) run the
+        scalar ``run_block`` loop.  Probed batches run in chunks short
+        enough that no compiled counter can wrap between drains.
         """
         if not self._settled:
             raise SimulationError("call reset() before apply_vectors()")
@@ -257,11 +225,7 @@ class CompiledSimulator:
         runtime = self._probe_runtime
         if block is not None and runtime is None:
             telemetry.counter("packing.packed_batches")
-            return packed_apply(self._packed_machine(len(words)), block)
-        lanes = self._batch_lanes(len(words))
-        if lanes > 1:
-            telemetry.counter("packing.laned_batches")
-            return self._run_laned(words, lanes, collect=True)
+            return packed_apply(self.machine, block)
         telemetry.counter(
             "packing.packed_batches" if block is not None
             else f"packing.fallback.{self.packing_mode}"
@@ -321,138 +285,6 @@ class CompiledSimulator:
             self.probe_plan is None or self.probe_plan.en_slot is not None
         )
 
-    # ------------------------------------------------------------------
-    # tiled / laned execution
-    # ------------------------------------------------------------------
-    def _tiled_machine(self, tiles: int) -> Machine:
-        """The K-tile compilation of this program (memoized per K)."""
-        machine = self._tiled_machines.get(tiles)
-        if machine is None:
-            machine = compile_program(
-                self._compiled_program, self.backend, tiles=tiles,
-                **self._backend_kwargs,
-            )
-            self._tiled_machines[tiles] = machine
-        return machine
-
-    def _packed_machine(self, num_vectors: int) -> Machine:
-        """The machine for a pattern-packed batch of ``num_vectors``.
-
-        Explicit ``tiles=K`` forces K on any backend; ``"auto"``
-        consults :func:`~repro.codegen.packing.select_tiles`.  K is
-        clamped to the number of packed groups the batch actually
-        fills, so small batches never pay for idle tiles.
-        """
-        width = self.program.word_width
-        if self.tiles == "auto":
-            tiles = select_tiles(num_vectors, width, backend=self.backend)
-        else:
-            tiles = self.tiles
-        if num_vectors:
-            tiles = max(1, min(tiles, -(-num_vectors // width)))
-        else:
-            tiles = 1
-        if tiles == 1:
-            return self.machine
-        return self._tiled_machine(tiles)
-
-    def _batch_lanes(self, num_vectors: int) -> int:
-        """Lane count for a shift-program batch (1 = scalar loop)."""
-        if self.program.state_carry != "finals" or not self._inputs:
-            return 1
-        if self.probe_plan is not None:
-            # The lane handoff keeps only the last lane's state, which
-            # would discard every other lane's probe counters.
-            return 1
-        if self.tiles == "auto":
-            lanes = select_lanes(num_vectors, backend=self.backend)
-        else:
-            lanes = self.tiles
-        return max(1, min(lanes, num_vectors))
-
-    def _lane_plan(self, words: list[list[int]], lanes: int):
-        """Segments, padded slot-major pass rows, and lane seeds.
-
-        Lane ``t`` owns the contiguous vector range
-        ``starts[t] .. starts[t] + segs[t] - 1``; shorter lanes are
-        padded by repeating their last vector (those passes' outputs
-        are discarded and no other lane reads their state).  Seeds for
-        lanes 1..K-1 are the technique's encoding of the steady state
-        on the previous segment's last vector — by the
-        ``state_carry="finals"`` contract this reproduces the true
-        vector chain bit for bit.  Lane 0 continues from the live
-        scalar state, which is read at *run* time.
-        """
-        segments = lane_segments(len(words), lanes)
-        max_len = max(length for _start, length in segments)
-        num_inputs = len(self._inputs)
-        rows = []
-        for p in range(max_len):
-            row = []
-            for k in range(num_inputs):
-                for start, length in segments:
-                    i = p if p < length else length - 1
-                    row.append(words[start + i][k])
-            rows.append(row)
-        seeds = [
-            self._encode_state(
-                steady_state(self.circuit, words[start - 1])
-            )
-            for start, _length in segments[1:]
-        ]
-        return segments, rows, seeds
-
-    def _seed_lanes(
-        self, machine: Machine, seeds: list[list[int]]
-    ) -> int:
-        """Load per-lane state into a tiled machine; lane 0 = live state."""
-        lanes = machine.tiles
-        lane_states = [self.machine.dump_state()] + seeds
-        num_state = len(lane_states[0])
-        full = [0] * (num_state * lanes)
-        for s in range(num_state):
-            for t in range(lanes):
-                full[s * lanes + t] = lane_states[t][s]
-        machine.load_state(full)
-        return num_state
-
-    def _handoff_lanes(self, machine: Machine, num_state: int) -> None:
-        """Continue the scalar chain from the last lane's final state."""
-        lanes = machine.tiles
-        after = machine.dump_state()
-        self.machine.load_state(
-            [after[s * lanes + lanes - 1] for s in range(num_state)]
-        )
-
-    def _run_laned(
-        self, words: list[list[int]], lanes: int, *, collect: bool
-    ) -> Optional[list[list[int]]]:
-        """Run a shift-program batch K lanes at a time, bit-identically."""
-        machine = self._tiled_machine(lanes)
-        segments, rows, seeds = self._lane_plan(words, lanes)
-        num_state = self._seed_lanes(machine, seeds)
-        with telemetry.span("pack.shift", lanes=lanes):
-            flat: Optional[list[int]] = [] if collect else None
-            machine.run_block(rows, flat, masked=True)
-            telemetry.counter("pack.shift.batches")
-            telemetry.counter("pack.shift.vectors", len(words))
-        # run_block counted passes; restate lanes actually represented.
-        machine.counters.vectors += len(words) - len(rows)
-        self._handoff_lanes(machine, num_state)
-        if not collect:
-            return None
-        emits = machine.num_outputs // lanes
-        per_row = machine.num_outputs
-        out: list[list[int]] = []
-        assert flat is not None
-        for t, (_start, length) in enumerate(segments):
-            for p in range(length):
-                base = p * per_row
-                out.append(
-                    [flat[base + o * lanes + t] for o in range(emits)]
-                )
-        return out
-
     def prepare_batch(self, vectors: Sequence[Sequence[int]]):
         """Marshal a batch once, outside any timed region.
 
@@ -461,21 +293,12 @@ class CompiledSimulator:
         contains no interpreter work at all (the paper's timing loop
         was compiled too).  On the Python backend the vectors are
         pre-marshalled and the timed run is a single batched send into
-        the generated coroutine's in-frame loop.  Laned shift programs
-        (``tiles > 1`` on a ``state_carry="finals"`` program) also
-        compute the segment rows and steady-state lane seeds here;
-        only the lane-0 live state is read at run time.  Probed
-        batches are split into wrap-free parts (one part at any
-        realistic word width; tiny widths get several).
+        the generated coroutine's in-frame loop.  Probed batches are
+        split into wrap-free parts (one part at any realistic word
+        width; tiny widths get several).  Returns ``(machine, parts)``.
         """
         with telemetry.span("pack"):
             words = self._batch_words(vectors)
-            lanes = self._batch_lanes(len(words))
-            if lanes > 1:
-                machine = self._tiled_machine(lanes)
-                _segs, rows, seeds = self._lane_plan(words, lanes)
-                return (machine, [self._part(machine, rows, len(words))],
-                        seeds)
             size = max(1, len(words))
             if self._probe_runtime is not None:
                 size = self._probe_runtime.chunk
@@ -484,16 +307,14 @@ class CompiledSimulator:
             ]
             return (
                 self.machine,
-                [self._part(self.machine, rows, len(rows))
-                 for rows in chunks],
-                None,
+                [self._part(rows, len(rows)) for rows in chunks],
             )
 
     def prepare_packed(self, vectors: Sequence[Sequence[int]]):
         """Transpose + marshal a pattern batch outside the timed region.
 
         The timed run is then pure compiled passes —
-        ``ceil(len(vectors) / (word_width * K))`` of them with K tiles.
+        ``ceil(len(vectors) / word_width)`` of them.
         Raises :class:`SimulationError` when the program or the batch
         is not packable (the caller asked for the packed configuration
         explicitly).  Probed batches are split into wrap-free parts of
@@ -508,30 +329,27 @@ class CompiledSimulator:
             )
         width = self.program.word_width
         block = pattern_block(words, width)
-        machine = self._packed_machine(len(words))
         size = max(1, block.count)
         if self._probe_runtime is not None:
             size = max(1, self._probe_runtime.chunk // width) * width
         blocks = [
             block.part(start, min(size, block.count - start))
-            .laid_out(machine.tiles)
             for start in range(0, block.count, size)
         ]
         return (
-            machine,
-            [self._part(machine, part, part.count) for part in blocks],
-            None,
+            self.machine,
+            [self._part(part, part.count) for part in blocks],
         )
 
-    def _part(self, machine: Machine, rows, represented: int) -> tuple:
+    def _part(self, rows, represented: int) -> tuple:
         """One pre-marshalled run: ``(payload, passes, vectors)``.
 
         ``rows`` is a list of pass rows or a
-        :class:`~repro.codegen.packing.PatternBlock` laid out for
-        ``machine``; the C backend gets it as one native buffer.
+        :class:`~repro.codegen.packing.PatternBlock`; the C backend
+        gets it as one native buffer.
         """
-        if isinstance(machine, CMachine):
-            return (machine.pack_block(rows), len(rows), represented)
+        if isinstance(self.machine, CMachine):
+            return (self.machine.pack_block(rows), len(rows), represented)
         if not (self._words_masked or isinstance(rows, PatternBlock)):
             mask = self.program.word_mask
             rows = [[value & mask for value in row] for row in rows]
@@ -545,23 +363,12 @@ class CompiledSimulator:
         """
         if not self._settled:
             raise SimulationError("call reset() before running")
-        machine, parts, seeds = prepared
-        if self._probe_runtime is not None:
+        machine, parts = prepared
+        runtime = self._probe_runtime
+        if runtime is not None:
             # Start from zeroed counters so each pre-marshalled part
             # has the full wrap-free budget.
-            self._probe_runtime.drain(self.machine)
-        if seeds is None:
-            self._run_parts(machine, parts)
-            return
-        num_state = self._seed_lanes(machine, seeds)
-        with telemetry.span("pack.shift", lanes=machine.tiles):
-            self._run_parts(machine, parts)
-            telemetry.counter("pack.shift.batches")
-            telemetry.counter("pack.shift.vectors", parts[0][2])
-        self._handoff_lanes(machine, num_state)
-
-    def _run_parts(self, machine: Machine, parts) -> None:
-        runtime = self._probe_runtime
+            runtime.drain(self.machine)
         for payload, passes, represented in parts:
             if isinstance(machine, CMachine):
                 machine.run_packed(
@@ -573,8 +380,6 @@ class CompiledSimulator:
                 )
             else:
                 machine.run_block(payload, masked=True)
-                # run_block counted passes; laned rows carry K vectors.
-                machine.counters.vectors += represented - passes
             if runtime is not None:
                 runtime.note_vectors(self.machine, represented)
 
@@ -652,21 +457,8 @@ class CompiledSimulator:
     # ------------------------------------------------------------------
     @property
     def counters(self):
-        """Per-batch throughput counters of the underlying machine(s).
-
-        With no tiled machines instantiated this *is* the scalar
-        machine's live counter object (so ``reset()`` on it works as
-        before); once tiled/laned batches have run, an aggregate over
-        every machine is returned.
-        """
-        if not self._tiled_machines:
-            return self.machine.counters
-        total = BatchCounters()
-        for machine in (self.machine, *self._tiled_machines.values()):
-            total.batches += machine.counters.batches
-            total.vectors += machine.counters.vectors
-            total.seconds += machine.counters.seconds
-        return total
+        """Per-batch throughput counters of the machine."""
+        return self.machine.counters
 
     def output_labels(self) -> list[tuple]:
         return self.machine.output_labels()

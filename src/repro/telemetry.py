@@ -1,4 +1,4 @@
-"""Pipeline telemetry: phase spans, metrics, cross-process export.
+"""Pipeline telemetry: phase spans, metrics, snapshot export.
 
 The paper's whole argument is quantitative — compile time vs. run time
 across techniques — so the library instruments itself end to end:
@@ -20,13 +20,10 @@ across techniques — so the library instruments itself end to end:
   (``packing.fallback.settled``/``.none``), and discrete events
   (``events.<name>``).  Counter merge is associative and commutative
   (sum); gauge merge takes the maximum.
-- **Cross-process aggregation**: :func:`snapshot` serializes the whole
-  state to a JSON-able dict, :func:`diff_snapshots` produces the delta
-  a child process can ship back, and :func:`merge_snapshot` folds
-  child deltas into the parent.
 - **Export**: :func:`format_profile` renders the per-phase table the
   CLI's ``--profile`` flag and ``profile`` subcommand print;
-  :func:`snapshot` backs ``--metrics-out``.
+  :func:`snapshot` serializes the whole state to a JSON-able dict and
+  backs ``--metrics-out``.
 
 Everything is off by default (set ``REPRO_TELEMETRY=1`` or call
 :func:`enable`), and log output goes to the stdlib ``repro.telemetry``
@@ -66,9 +63,6 @@ __all__ = [
     "phase_totals",
     "format_profile",
     "snapshot",
-    "diff_snapshots",
-    "merge_snapshots",
-    "merge_snapshot",
     "write_metrics",
 ]
 
@@ -336,35 +330,17 @@ def event(name: str, **fields) -> None:
 
 
 # ----------------------------------------------------------------------
-# snapshots (the cross-process currency)
+# snapshots
 # ----------------------------------------------------------------------
 def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
     """The convenience sections recomputed from raw counters."""
     return {
-        "cache": {
-            "entries": cache.get("entries", 0),
-            "hits": cache.get("hits", 0),
-            "misses": cache.get("misses", 0),
-        },
+        "cache": dict(cache),
         "packing": {
             "packed_batches": counters.get("packing.packed_batches", 0),
             "fallback": {
                 "settled": counters.get("packing.fallback.settled", 0),
                 "none": counters.get("packing.fallback.none", 0),
-            },
-        },
-        "pack": {
-            # Tiled packed passes (K words per net) and laned
-            # shift-program batches — see repro.codegen.packing.
-            "tile": {
-                "selected": counters.get("pack.tile.selected", 0),
-                "batches": counters.get("pack.tile.batches", 0),
-                "vectors": counters.get("pack.tile.vectors", 0),
-            },
-            "shift": {
-                "selected": counters.get("pack.shift.selected", 0),
-                "batches": counters.get("pack.shift.batches", 0),
-                "vectors": counters.get("pack.shift.vectors", 0),
             },
         },
         "seq": {
@@ -378,8 +354,7 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
         },
         "activity": {
             # Compiled-in probe counters — see repro.codegen.probes.
-            # All four are summed counters, so the derived section
-            # merges associatively exactly like seq/pack.
+            # All four are summed counters.
             "vectors": counters.get("activity.vectors", 0),
             "toggles": counters.get("activity.toggles", 0),
             "functional": counters.get("activity.functional", 0),
@@ -409,24 +384,11 @@ def snapshot() -> dict:
     """The whole telemetry state as one JSON-able dict.
 
     Program-cache hits/misses are read live from the process-wide
-    :class:`~repro.codegen.runtime.ProgramCache` and combined with any
-    child-process cache counts previously merged in; the ``cache``
-    section is authoritative and the raw ``counters`` dict never
-    carries ``cache.*`` keys.
+    :class:`~repro.codegen.runtime.ProgramCache`.
     """
     from repro.codegen.runtime import program_cache  # lazy: avoid cycle
 
-    counters = {
-        name: value
-        for name, value in _REGISTRY.counters.items()
-        if not name.startswith("cache.")
-    }
-    live = program_cache().stats()
-    cache = {
-        "entries": live["entries"],
-        "hits": live["hits"] + _REGISTRY.counters.get("cache.hits", 0),
-        "misses": live["misses"] + _REGISTRY.counters.get("cache.misses", 0),
-    }
+    counters = dict(_REGISTRY.counters)
     snap = {
         "enabled": _ENABLED,
         "counters": counters,
@@ -440,127 +402,8 @@ def snapshot() -> dict:
             for path, entry in _PHASES.items()
         },
     }
-    snap.update(_derived_sections(counters, cache))
+    snap.update(_derived_sections(counters, program_cache().stats()))
     return snap
-
-
-def diff_snapshots(after: Mapping, before: Mapping) -> dict:
-    """``after - before``: the delta a child process ships to its parent.
-
-    Counters, cache counts and phase triples subtract; gauges keep the
-    ``after`` level; ``entries`` (a level, not a flow) keeps the
-    ``after`` value.
-    """
-    counters = {}
-    for name, value in after.get("counters", {}).items():
-        delta = value - before.get("counters", {}).get(name, 0)
-        if delta:
-            counters[name] = delta
-    phases = {}
-    before_phases = before.get("phases", {})
-    for path, entry in after.get("phases", {}).items():
-        prior = before_phases.get(
-            path, {"count": 0, "seconds": 0.0, "self_seconds": 0.0}
-        )
-        count = entry["count"] - prior["count"]
-        if count or entry["seconds"] != prior["seconds"]:
-            phases[path] = {
-                "count": count,
-                "seconds": entry["seconds"] - prior["seconds"],
-                "self_seconds": (
-                    entry["self_seconds"] - prior["self_seconds"]
-                ),
-            }
-    cache_after = after.get("cache", {})
-    cache_before = before.get("cache", {})
-    cache = {
-        "entries": cache_after.get("entries", 0),
-        "hits": cache_after.get("hits", 0) - cache_before.get("hits", 0),
-        "misses": (
-            cache_after.get("misses", 0) - cache_before.get("misses", 0)
-        ),
-    }
-    snap = {
-        "enabled": after.get("enabled", False),
-        "counters": counters,
-        "gauges": dict(after.get("gauges", {})),
-        "phases": phases,
-    }
-    snap.update(_derived_sections(counters, cache))
-    return snap
-
-
-def merge_snapshots(a: Mapping, b: Mapping) -> dict:
-    """Pure associative merge of two snapshot dicts.
-
-    ``merge(a, merge(b, c)) == merge(merge(a, b), c)`` — counters,
-    cache counts and phases sum; gauges and ``entries`` take the
-    maximum.  Shard outcomes can therefore merge in any grouping and
-    produce the same report.
-    """
-    counters = dict(a.get("counters", {}))
-    for name, value in b.get("counters", {}).items():
-        counters[name] = counters.get(name, 0) + value
-    gauges = dict(a.get("gauges", {}))
-    for name, value in b.get("gauges", {}).items():
-        prior = gauges.get(name)
-        gauges[name] = value if prior is None else max(prior, value)
-    phases = {
-        path: dict(entry) for path, entry in a.get("phases", {}).items()
-    }
-    for path, entry in b.get("phases", {}).items():
-        prior = phases.get(path)
-        if prior is None:
-            phases[path] = dict(entry)
-        else:
-            prior["count"] += entry["count"]
-            prior["seconds"] += entry["seconds"]
-            prior["self_seconds"] += entry["self_seconds"]
-    cache_a, cache_b = a.get("cache", {}), b.get("cache", {})
-    cache = {
-        "entries": max(cache_a.get("entries", 0), cache_b.get("entries", 0)),
-        "hits": cache_a.get("hits", 0) + cache_b.get("hits", 0),
-        "misses": cache_a.get("misses", 0) + cache_b.get("misses", 0),
-    }
-    snap = {
-        "enabled": bool(a.get("enabled")) or bool(b.get("enabled")),
-        "counters": counters,
-        "gauges": gauges,
-        "phases": phases,
-    }
-    snap.update(_derived_sections(counters, cache))
-    return snap
-
-
-def merge_snapshot(child: Mapping) -> None:
-    """Fold a child process's snapshot delta into *this* process.
-
-    Child cache counts land in ``cache.hits``/``cache.misses`` registry
-    counters, which :func:`snapshot` adds on top of the live cache —
-    so a parent's export covers its children's compilations too.
-    """
-    for name, value in child.get("counters", {}).items():
-        if name.startswith("cache."):
-            continue
-        _REGISTRY.inc(name, value)
-    for name, value in child.get("gauges", {}).items():
-        prior = _REGISTRY.gauges.get(name)
-        _REGISTRY.gauges[name] = (
-            value if prior is None else max(prior, value)
-        )
-    for path, entry in child.get("phases", {}).items():
-        local = _PHASES.get(path)
-        if local is None:
-            local = _PHASES[path] = [0, 0.0, 0.0]
-        local[0] += entry["count"]
-        local[1] += entry["seconds"]
-        local[2] += entry["self_seconds"]
-    cache = child.get("cache", {})
-    hits, misses = cache.get("hits", 0), cache.get("misses", 0)
-    if hits:
-        _REGISTRY.inc("cache.hits", hits)
-    if misses:
-        _REGISTRY.inc("cache.misses", misses)
 
 
 # ----------------------------------------------------------------------

@@ -170,3 +170,51 @@ def test_backend_parity_state_roundtrip():
     py.load_state(state)
     cc.load_state(state)
     assert py.dump_state() == cc.dump_state() == [s & 0xFFFFFFFF for s in state]
+
+
+#: sha256 of the emitted source, per (program, language), for the
+#: 8-bit ripple-carry adder.  The program cache keys on these bytes,
+#: so any emitter change that alters them recompiles every cached
+#: artifact; update the table only for an intended emitter change.
+GOLDEN_DIGESTS = {
+    ("zero-lcc", "c"):
+        "2d4ea53ef1bd75fe8297b402976579676e9fb1be3504ff18a76408184cc39048",
+    ("zero-lcc", "python"):
+        "a74d95066e14256fafbeed065371a61215a765c5f1ecf06791ec7b88f7a52930",
+    ("pcset", "c"):
+        "87e51b0c4ce3055d0e0f6565d1ab06e5bf05eb5a98788c81f7dd8de526a8f2b6",
+    ("pcset", "python"):
+        "507de0f3867269176cb60faea6c8b14c4c3ab89d1c2a62e22781ff274a5b4a92",
+    ("parallel-best", "c"):
+        "19782f8b041b3dd70fb7b663b4768ecb3abd96b380cf2adeed43a37f0e8bf494",
+    ("parallel-best", "python"):
+        "761a0abf1bac06934c246338bad8a072d544e35dbdb8e1e19070d4b22542fa66",
+    ("fault-pcset", "c"):
+        "bc9ab26146001623f3ff4774c425438fc8cab9a1ac76a96d1496e934757263c7",
+    ("fault-pcset", "python"):
+        "463ec1f688a63655c717e15ab99dfd6d26d1f64afdc055a235ff55b551bbb80d",
+}
+
+
+def _golden_program(name: str) -> Program:
+    from repro.faults.simulator import ParallelFaultSimulator
+    from repro.harness.runner import build_simulator
+    from repro.netlist.generators import ripple_carry_adder
+
+    circuit = ripple_carry_adder(8)
+    if name == "fault-pcset":
+        faults = ParallelFaultSimulator(circuit)
+        return faults._instrumented_program(faults._all_nets)
+    return build_simulator(circuit, name).program
+
+
+@pytest.mark.parametrize("name,language", sorted(GOLDEN_DIGESTS))
+def test_emitted_source_matches_golden_digest(name, language):
+    import hashlib
+
+    program = _golden_program(name)
+    source = (
+        program.c_source() if language == "c" else program.python_source()
+    )
+    digest = hashlib.sha256(source.encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[(name, language)]

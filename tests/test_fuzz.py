@@ -21,7 +21,7 @@ from repro.fuzz import (
     coverage_configs,
     entry_from_failure,
     inject_emitter_bug,
-    inject_tile_bug,
+    inject_slot_bug,
     load_corpus,
     load_entry,
     replay_entry,
@@ -47,9 +47,9 @@ class TestFuzzConfig:
         assert FuzzConfig.from_dict(config.as_dict()) == config
 
     def test_label_is_readable(self):
-        config = FuzzConfig(check="faults", tiles=2)
+        config = FuzzConfig(check="faults", word_width=16, probes=True)
         label = config.label()
-        assert "faults" in label and "k2" in label
+        assert "faults" in label and "w16" in label and "pr" in label
 
     def test_rejects_unknown_check(self):
         with pytest.raises(SimulationError):
@@ -104,6 +104,25 @@ class TestFuzzConfig:
                                                   "removed"):
             FuzzConfig.from_dict(data)
 
+    def test_from_dict_drops_tiles_at_one(self):
+        # Lane tiling was deleted: a dict carrying the axis at its only
+        # remaining value loads as the config without it, and the
+        # serialized shape never mentions it.
+        config = FuzzConfig(check="packed", technique="zero-lcc",
+                            word_width=8)
+        assert "tiles" not in config.as_dict()
+        assert FuzzConfig.from_dict(
+            dict(config.as_dict(), tiles=1)
+        ) == config
+
+    @pytest.mark.parametrize("schema", [2, CONFIG_SCHEMA])
+    def test_from_dict_rejects_removed_tiles_axis(self, schema):
+        data = {"schema": schema, "check": "packed",
+                "technique": "zero-lcc", "backend": "python",
+                "word_width": 8, "batch_size": 0, "tiles": 4}
+        with pytest.raises(SimulationError, match="removed 'tiles'"):
+            FuzzConfig.from_dict(data)
+
     def test_from_dict_rejects_unknown_fields(self):
         # Silently ignoring unknown keys made corpus replay fragile: a
         # drifted entry would replay the wrong lattice point and pass.
@@ -150,11 +169,11 @@ class TestFuzzConfig:
             check="history", technique="parallel-best"
         ).surfaces() == {"scalar"}
         assert FuzzConfig(
-            check="packed", technique="zero-lcc", tiles=2
-        ).surfaces() == {"packed", "tiled"}
+            check="packed", technique="zero-lcc"
+        ).surfaces() == {"packed"}
         assert FuzzConfig(
-            check="batched", technique="parallel", tiles=2
-        ).surfaces() == {"batched", "tiled", "laned-shift"}
+            check="batched", technique="parallel"
+        ).surfaces() == {"batched"}
         assert FuzzConfig(
             check="sequential", technique="lcc"
         ).surfaces() == {"replay-restore"}
@@ -183,8 +202,7 @@ class TestRunCheck:
                    batch_size=2),
         FuzzConfig(check="packed", technique="zero-lcc"),
         FuzzConfig(check="packed", technique="pcset", batch_size=3),
-        FuzzConfig(check="faults", technique="parallel-best",
-                   tiles=2),
+        FuzzConfig(check="faults", technique="parallel-best"),
     ], ids=lambda c: c.label())
     def test_healthy_tree_passes(self, triple, config):
         circuit, vectors = triple
@@ -254,22 +272,20 @@ class TestMutationIsCaught:
                 with pytest.raises(AssertionError):
                     replay_entry(entry)
 
-    def test_tile_boundary_bug_caught_directly(self):
+    def test_slot_order_bug_caught_directly(self):
         circuit = random_dag_circuit(11, num_inputs=4, num_gates=14)
-        # Tiles are clamped to ceil(vectors/width): more than one
-        # packed group is required for a tiled pass to exist.
         vectors = vectors_for(circuit, 20, seed=3)
         config = FuzzConfig(check="packed", technique="zero-lcc",
-                            tiles=2, word_width=8)
+                            word_width=8)
         assert run_check(circuit, vectors, config) > 0
-        with inject_tile_bug():
+        with inject_slot_bug():
             with pytest.raises(AssertionError):
                 run_check(circuit, vectors, config)
         assert run_check(circuit, vectors, config) > 0
 
     @pytest.mark.parametrize("inject,surface", [
-        (inject_tile_bug, "tiled"),
-    ], ids=["tile-boundary"])
+        (inject_slot_bug, "packed"),
+    ], ids=["slot-order"])
     def test_extended_campaign_catches_surface_bug(
         self, inject, surface
     ):

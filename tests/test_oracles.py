@@ -60,8 +60,7 @@ def fake_measure(point, *, vectors=1024, repeats=3):
 
 class TestBenchLoader:
     def test_loads_every_committed_snapshot(self):
-        for name in ("packed", "telemetry", "tiled", "replay",
-                     "probes"):
+        for name in ("packed", "telemetry", "replay", "probes"):
             payload = load_bench(name, REPO_ROOT)
             assert payload is not None, name
             assert isinstance(payload["metrics"], dict)
@@ -101,9 +100,9 @@ class TestPerfPoint:
             assert PerfPoint.from_key(point.key()) == point
 
     def test_key_encodes_every_axis(self):
-        point = PerfPoint(surface="tiled", technique="zero-lcc",
-                          backend="c", word_width=16, tiles=4)
-        assert point.key() == "tiled:zero-lcc:c:w16:k4"
+        point = PerfPoint(surface="packed", technique="zero-lcc",
+                          backend="c", word_width=16)
+        assert point.key() == "packed:zero-lcc:c:w16"
         probed = PerfPoint(surface="probed", technique="zero-lcc",
                            backend="python", word_width=8, probes=True)
         assert probed.key().endswith(":probes")
@@ -114,6 +113,12 @@ class TestPerfPoint:
             PerfPoint.from_key("packed:zero-lcc")
         with pytest.raises(SimulationError, match="unknown perf"):
             PerfPoint.from_key("warp:zero-lcc:c:w32")
+
+    def test_removed_tiles_axis_rejected(self):
+        with pytest.raises(SimulationError, match="'tiled' perf surface"):
+            PerfPoint.from_key("tiled:zero-lcc:c:w16")
+        with pytest.raises(SimulationError, match="removed tiles"):
+            PerfPoint.from_key("packed:zero-lcc:c:w16:k2")
 
 
 class TestEnvelope:
@@ -158,6 +163,19 @@ class TestEnvelope:
         path.write_text(json.dumps(data))
         with pytest.raises(SimulationError, match="'numpy' backend was "
                                                   "removed"):
+            PerfEnvelope.load(path)
+
+    @pytest.mark.parametrize("key", [
+        "tiled:zero-lcc:c:w16:k2", "packed:zero-lcc:c:w32:k4",
+    ])
+    def test_removed_tiled_floor_rejected(self, tmp_path, key):
+        envelope = calibrate_envelope([PY_PACKED],
+                                      measure=fake_measure)
+        data = envelope.as_dict()
+        data["floors"][key] = dict(data["floors"][PY_PACKED.key()])
+        path = tmp_path / "envelope.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SimulationError, match="tile"):
             PerfEnvelope.load(path)
 
     def test_margin_bounds(self):
@@ -238,12 +256,11 @@ class TestPerfPhase:
         # (python backend keeps this cheap).
         for surface, technique in [
             ("scalar", "parallel-best"), ("packed", "zero-lcc"),
-            ("tiled", "zero-lcc"), ("probed", "zero-lcc"),
+            ("probed", "zero-lcc"),
         ]:
             point = PerfPoint(
                 surface=surface, technique=technique,
                 backend="python", word_width=8,
-                tiles=2 if surface == "tiled" else 1,
                 probes=surface == "probed",
             )
             sample = measure_point(point, vectors=64, repeats=1)

@@ -19,14 +19,26 @@ from repro.codegen.packing import (
     packed_apply,
     packed_bits,
     packing_mode,
+    tile_groups,
     unpack_patterns,
     validate_packed_words,
 )
-from repro.codegen.program import Assign, Bin, Emit, Input, Program, Var
+from repro.codegen.program import (
+    Assign,
+    Bin,
+    Const,
+    Emit,
+    Input,
+    Program,
+    Var,
+)
 from repro.codegen.runtime import CMachine, compile_program, have_c_compiler
 from repro.errors import BackendError, SimulationError
 from repro.eventsim.zerodelay import ZeroDelaySimulator
-from repro.faults.simulator import ParallelFaultSimulator
+from repro.faults.simulator import (
+    ParallelFaultSimulator,
+    run_fault_simulation,
+)
 from repro.harness.runner import run_technique, simulate_outputs
 from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator, generate_lcc_program
@@ -317,9 +329,6 @@ class TestHarnessThreading:
 # ----------------------------------------------------------------------
 # bit-plane pattern blocks
 # ----------------------------------------------------------------------
-TILES = (1, 3, 8)
-
-
 def _batch_sizes(width):
     # Empty, single, one short of / exactly / one past a lane word,
     # and a count that is not a multiple of 8.
@@ -341,17 +350,15 @@ class TestPatternBlockPath:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("width", WIDTHS)
-    @pytest.mark.parametrize("tiles", TILES)
-    def test_tiled_machine_matches_step(self, backend, width, tiles):
+    def test_block_machine_matches_step(self, backend, width):
         circuit = random_dag_circuit(
-            num_inputs=7, num_gates=40, seed=width + tiles
+            num_inputs=7, num_gates=40, seed=width + 1
         )
         program = generate_lcc_program(circuit, word_width=width)
-        scalar = compile_program(program, backend)
-        machine = compile_program(program, backend, tiles=tiles)
+        machine = compile_program(program, backend)
         for size in _batch_sizes(width):
             rows = vectors_for(circuit, size, seed=size)
-            expected = [scalar.step(list(row)) for row in rows]
+            expected = [machine.step(list(row)) for row in rows]
             assert packed_apply(machine, rows) == expected
             block = PatternBlock.from_rows(rows, width)
             assert packed_apply(machine, block) == expected
@@ -366,7 +373,6 @@ class TestPatternBlockPath:
         circuit = random_dag_circuit(num_inputs=6, num_gates=30, seed=5)
         sim = LCCSimulator(
             circuit, backend=backend, word_width=width, packed=True,
-            tiles=3,
         )
         for size in _batch_sizes(width):
             rows = vectors_for(circuit, size, seed=size + 1)
@@ -379,27 +385,25 @@ class TestPatternBlockPath:
         block = PatternBlock.from_rows(rows, 8)
         # bit j of plane k = input k of vector j
         assert block.planes == [0b10101, 0b00110, 0b01011]
-        assert (block.count, block.groups, len(block)) == (5, 1, 1)
-        tiled = block.laid_out(3, fill=True)
-        assert (tiled.groups, len(tiled)) == (2, 1)
-        # Pass p, slot s, tile t is word p*K + t of plane s.
-        assert tiled.buffer.tolist() == [
-            0b10101, 0, 0, 0b00110, 0, 0, 0b01011, 0, 0,
+        assert (block.count, block.passes, len(block)) == (5, 1, 1)
+        filled = block.laid_out(fill=True)
+        assert (filled.passes, len(filled)) == (2, 2)
+        # Pass p, slot s is word p*slots + s.
+        assert filled.buffer.tolist() == [
+            0b10101, 0b00110, 0b01011, 0, 0, 0,
         ]
 
-    def test_extra_slots_patch_every_pass_and_tile(self):
+    def test_extra_slots_patch_every_pass(self):
         rows = [[1]] * 20
-        block = PatternBlock.from_rows(rows, 8).laid_out(2, extra=[7])
-        assert len(block) == 2 and block.slots == 2
+        block = PatternBlock.from_rows(rows, 8).laid_out(extra=[7])
+        assert len(block) == 3 and block.slots == 2
         parts = block.split()
-        assert [part.count for part in parts] == [16, 4]
+        assert [part.count for part in parts] == [8, 8, 4]
         block.set_extra(0, 9)
-        assert block.buffer.tolist() == [
-            0xFF, 0xFF, 9, 9, 0x0F, 0, 9, 9,
-        ]
+        assert block.buffer.tolist() == [0xFF, 9, 0xFF, 9, 0x0F, 9]
         # Parts share the buffer: the patch shows through.
         assert [part.buffer.tolist() for part in parts] == [
-            [0xFF, 0xFF, 9, 9], [0x0F, 0, 9, 9],
+            [0xFF, 9], [0xFF, 9], [0x0F, 9],
         ]
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -435,13 +439,14 @@ class TestPatternBlockPath:
     def test_block_must_fit_the_machine(self, fig1_circuit, backend):
         machine = compile_program(
             generate_lcc_program(fig1_circuit, word_width=8), backend,
-            tiles=2,
         )
         block = PatternBlock.from_rows([[0, 1, 1]], 8)
         with pytest.raises(BackendError, match="does not fit"):
-            machine.run_packed_block(block)
+            machine.run_packed_block(block.laid_out(extra=[0]))
+        with pytest.raises(BackendError, match="does not fit"):
+            machine.run_packed_block(PatternBlock.from_rows([[0, 1, 1]], 16))
         out = []
-        machine.run_packed_block(block.laid_out(2), out)
+        machine.run_packed_block(block, out)
         assert len(out) == machine.num_outputs
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -531,13 +536,11 @@ class TestPatternBlockErrors:
 # ----------------------------------------------------------------------
 # LCCSimulator on the shared CompiledSimulator executor
 # ----------------------------------------------------------------------
-#: Every valid (packed, tiles, probes) point: probes pin one tile.
+#: Every (packed, probes) point.
 FACADE_POINTS = [
-    (packed, tiles, probes)
+    (packed, probes)
     for packed in ("auto", False)
-    for tiles in (1, 3, "auto")
     for probes in (False, True)
-    if not (probes and tiles == 3)
 ]
 
 
@@ -552,10 +555,10 @@ class TestMergedFacade:
         return random_dag_circuit(num_inputs=6, num_gates=30, seed=21)
 
     @staticmethod
-    def _sim(circuit, backend, packed, tiles, probes, word_width=8):
+    def _sim(circuit, backend, packed, probes, word_width=8):
         sim = LCCSimulator(
             circuit, backend=backend, word_width=word_width,
-            packed=packed, tiles=tiles, probes=probes or None,
+            packed=packed, probes=probes or None,
         )
         if probes:
             sim.probe_reset()
@@ -568,19 +571,19 @@ class TestMergedFacade:
         assert sim.apply_vector([0] * len(circuit.inputs))
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("packed,tiles,probes", FACADE_POINTS)
+    @pytest.mark.parametrize("packed,probes", FACADE_POINTS)
     def test_batch_surfaces_match_step_loop(
-        self, circuit, backend, packed, tiles, probes
+        self, circuit, backend, packed, probes
     ):
         rows = vectors_for(circuit, self.VECTORS, seed=22)
         ref = compile_program(
             generate_lcc_program(circuit, word_width=8), backend
         )
         expected = [ref.step(list(row)) for row in rows]
-        applied = self._sim(circuit, backend, packed, tiles, probes)
+        applied = self._sim(circuit, backend, packed, probes)
         assert applied.apply_vectors(rows) == expected
 
-        prepared = self._sim(circuit, backend, packed, tiles, probes)
+        prepared = self._sim(circuit, backend, packed, probes)
         prepare = (
             prepared.prepare_batch if packed is False
             else prepared.prepare_packed
@@ -588,7 +591,7 @@ class TestMergedFacade:
         prepared.run_prepared(prepare(rows))
         assert prepared.counters.vectors == len(rows)
         if probes:
-            stepped = self._sim(circuit, backend, False, 1, True)
+            stepped = self._sim(circuit, backend, False, True)
             for row in rows:
                 stepped.apply_vector(row)
             want = stepped.activity_report()
@@ -600,15 +603,15 @@ class TestMergedFacade:
             assert prepared.machine.dump_state() == ref.dump_state()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("packed,tiles,probes", FACADE_POINTS)
+    @pytest.mark.parametrize("packed,probes", FACADE_POINTS)
     def test_multibit_words_run_unmasked_scalar(
-        self, circuit, backend, packed, tiles, probes
+        self, circuit, backend, packed, probes
     ):
         rng = random.Random(23)
         rows = [
             [rng.randrange(256) for _ in circuit.inputs] for _ in range(20)
         ]
-        sim = self._sim(circuit, backend, packed, tiles, probes)
+        sim = self._sim(circuit, backend, packed, probes)
         if probes:
             with pytest.raises(SimulationError, match="0/1"):
                 sim.apply_vectors(rows)
@@ -618,19 +621,76 @@ class TestMergedFacade:
             sim.machine.step([value & 1 for value in row]) for row in rows
         ]
         assert sim.apply_vectors(rows) == expected
-        # One scalar run_block batch on the untiled machine.
+        # One scalar run_block batch.
         assert sim.machine.counters.batches == 1
         assert sim.counters.vectors == len(rows)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("packed,tiles,probes", FACADE_POINTS)
+    @pytest.mark.parametrize("packed,probes", FACADE_POINTS)
     def test_run_batch_checksum_matches_zero_delay(
-        self, circuit, backend, packed, tiles, probes
+        self, circuit, backend, packed, probes
     ):
         rows = vectors_for(circuit, 100, seed=24)
         sim = self._sim(
-            circuit, backend, packed, tiles, probes, word_width=32
+            circuit, backend, packed, probes, word_width=32
         )
         assert sim.run_batch(rows) == (
             ZeroDelaySimulator(circuit).run_batch(rows)
         )
+
+
+# ----------------------------------------------------------------------
+# one word per net
+# ----------------------------------------------------------------------
+def _program_with_state():
+    """A tiny program exercising state, shifts, and sar."""
+    p = Program("state_probe", word_width=8, inputs=["a", "b"])
+    p.declare("s", 3)
+    t = p.declare_temp("t")
+    p.init.append(Assign(t, Bin("&", Input(0), Input(1))))
+    p.body.append(Assign("s", Bin("^", Var("s"), Var(t))))
+    p.body.append(Assign(t, Bin("sar", Var("s"), Const(2))))
+    p.output.append(Emit(Bin("|", Var("s"), Bin("<<", Var(t), Const(1))),
+                         ("o",)))
+    p.validate()
+    return p
+
+
+class TestOneWordPerNet:
+    def test_tile_groups_handles_one_bit_words(self):
+        # The list-of-words view copes with degenerate 1-bit words
+        # (one vector per lane) even though compiled programs only
+        # exist at 8/16/32/64.
+        assert tile_groups([[1], [0], [1]], 1, 2) == [[1, 0], [1, 0]]
+        assert tile_groups([[1, 2], [3, 4]], 2, 1) == [[1, 2], [3, 4]]
+
+    def test_validate_group_names_vector_span(self):
+        m = compile_program(_program_with_state(), "python")
+        with pytest.raises(SimulationError,
+                           match=r"group 1 \(vectors 8\.\.15\)"):
+            m.run_packed_block([[1, 2], [1, 1 << 20]])
+
+    def test_numpy_is_an_unknown_backend(self):
+        with pytest.raises(BackendError, match="unknown backend"):
+            compile_program(_program_with_state(), "numpy")
+
+    def test_every_machine_and_simulator_has_one_tile(self, fig1_circuit):
+        # The end-to-end benchmark records these in its plan.
+        sim = LCCSimulator(fig1_circuit)
+        assert sim.tiles == 1 and sim.machine.tiles == 1
+        assert ParallelFaultSimulator(fig1_circuit).tiles == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda c: LCCSimulator(c, tiles=2),
+        lambda c: PCSetSimulator(c, tiles=1),
+        lambda c: ParallelSimulator(c, tiles="auto"),
+        lambda c: ParallelFaultSimulator(c, tiles=2),
+        lambda c: run_fault_simulation(c, [[0, 0, 0]], tiles=1),
+        lambda c: compile_program(
+            generate_lcc_program(c), "python", tiles=2
+        ),
+    ], ids=["lcc", "pcset", "parallel", "faults", "run_faults",
+            "compile_program"])
+    def test_tiles_keyword_is_gone(self, fig1_circuit, build):
+        with pytest.raises(TypeError, match="tiles"):
+            build(fig1_circuit)

@@ -244,10 +244,6 @@ class TestLCCProbes:
         sim.apply_vectors(vectors)
         assert sim.activity_report().toggles == want
 
-    def test_tiles_unavailable_with_probes(self):
-        with pytest.raises(SimulationError, match="tiles"):
-            LCCSimulator(glitchy_circuit(), tiles=2, probes=True)
-
 
 class TestFaultGradingActivity:
     def _workload(self):
@@ -462,14 +458,12 @@ class TestCacheFingerprint:
         probed = PCSetSimulator(circuit, probes=True)
         subset = PCSetSimulator(circuit, probes=["OUT"])
         keys = {
-            cache_fingerprint(
-                sim._compiled_program, sim.source(), 1
-            )
+            cache_fingerprint(sim._compiled_program, sim.source())
             for sim in (plain, probed, subset)
         }
         assert len(keys) == 3
         probed_key = cache_fingerprint(
-            probed._compiled_program, probed.source(), 1
+            probed._compiled_program, probed.source()
         )
         assert "-p" in probed_key
 

@@ -282,10 +282,8 @@ class TestReplay:
         assert filecmp.cmp(a, b, shallow=False)
 
     @pytest.mark.parametrize("options", [
-        {"tiles": 2},
         {"incremental": True},
-        {"engine": "parallel", "tiles": 2},
-    ], ids=["tiles2", "incremental", "parallel-tiles2"])
+    ], ids=["incremental"])
     def test_option_threading_bit_identical(self, tmp_path, options):
         _, tape = _replay_setup(tmp_path, cycles=64)
         base = replay_tape(

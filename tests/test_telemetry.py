@@ -1,9 +1,8 @@
 """Tests for the telemetry layer (repro.telemetry) and its plumbing.
 
 Covers the contracts the instrumentation promises: span nesting and
-self-time bookkeeping, associative registry/snapshot merges, the
-snapshot -> diff -> merge cross-process round trip, the allocation-free
-disabled path, and the CLI export surfaces (``--profile``,
+self-time bookkeeping, the associative registry merge, the derived
+snapshot sections, the allocation-free disabled path, and the CLI export surfaces (``--profile``,
 ``--metrics-out`` and the ``profile`` subcommand).
 """
 
@@ -166,83 +165,13 @@ class TestMetricsRegistry:
         clone = MetricsRegistry.from_dict(registry.as_dict())
         assert clone.as_dict() == registry.as_dict()
 
-    def test_merge_snapshots_associative(self):
-        def snap(n):
-            return {
-                "enabled": True,
-                "counters": {"run.vectors": n, f"only.{n}": 1},
-                "gauges": {"depth": n},
-                "phases": {
-                    "emit": {
-                        "count": 1, "seconds": float(n), "self_seconds": 1.0,
-                    },
-                },
-                "cache": {"entries": n, "hits": n, "misses": 1},
-            }
-
-        a, b, c = snap(1), snap(2), snap(4)
-        left = telemetry.merge_snapshots(telemetry.merge_snapshots(a, b), c)
-        right = telemetry.merge_snapshots(a, telemetry.merge_snapshots(b, c))
-        assert left == right
-        assert left["counters"]["run.vectors"] == 7
-        assert left["phases"]["emit"]["count"] == 3
-        assert left["cache"] == {"entries": 4, "hits": 7, "misses": 3}
-        assert left["gauges"]["depth"] == 4
-
 
 class TestSnapshots:
     def test_derived_sections_always_present(self):
         snap = telemetry.snapshot()
         assert set(snap["packing"]) == {"packed_batches", "fallback"}
-        assert set(snap["pack"]) == {"tile", "shift"}
         assert set(snap["cache"]) == {"entries", "hits", "misses"}
 
-    def test_cross_process_round_trip(self):
-        """snapshot -> diff -> merge reproduces the delta exactly."""
-        telemetry.enable()
-        telemetry.counter("run.batches", 2)
-        with telemetry.span("emit"):
-            pass
-        before = telemetry.snapshot()
-        # "The worker's extra work" happens after the baseline.
-        telemetry.counter("run.batches", 3)
-        telemetry.counter("packing.packed_batches")
-        telemetry.gauge("depth", 17)
-        with telemetry.span("emit"):
-            with telemetry.span("levelize"):
-                pass
-        delta = telemetry.diff_snapshots(telemetry.snapshot(), before)
-
-        assert delta["counters"]["run.batches"] == 3
-        assert delta["counters"]["packing.packed_batches"] == 1
-        assert delta["phases"]["emit"]["count"] == 1
-        assert delta["phases"]["emit/levelize"]["count"] == 1
-        assert "run.batches" not in delta.get("cache", {})
-
-        # A fresh "parent" process folds the delta in.
-        telemetry.reset()
-        telemetry.merge_snapshot(delta)
-        merged = telemetry.snapshot()
-        assert merged["counters"]["run.batches"] == 3
-        assert merged["gauges"]["depth"] == 17
-        assert merged["phases"]["emit"]["count"] == 1
-        assert merged["phases"]["emit/levelize"]["count"] == 1
-
-    def test_child_cache_counts_add_to_live_cache(self):
-        telemetry.enable()
-        base = telemetry.snapshot()["cache"]
-        telemetry.merge_snapshot({
-            "counters": {}, "gauges": {}, "phases": {},
-            "cache": {"entries": 1, "hits": 5, "misses": 2},
-        })
-        cache = telemetry.snapshot()["cache"]
-        assert cache["hits"] == base["hits"] + 5
-        assert cache["misses"] == base["misses"] + 2
-        # Raw counters never expose cache.* (the section is derived).
-        assert not any(
-            name.startswith("cache.")
-            for name in telemetry.snapshot()["counters"]
-        )
 
     def test_write_metrics(self, tmp_path):
         telemetry.enable()
@@ -337,56 +266,3 @@ class TestActivityTelemetry:
         assert section["toggles"] == report.total_toggles()
         assert section["functional"] == sum(report.functional.values())
         assert section["glitches"] == report.total_glitch_toggles()
-
-    def test_activity_merge_associative(self):
-        def snap(n):
-            return {
-                "enabled": True,
-                "counters": {
-                    "activity.vectors": n,
-                    "activity.toggles": 3 * n,
-                    "activity.functional": 2 * n,
-                    "activity.glitches": n,
-                },
-                "gauges": {},
-                "phases": {},
-            }
-
-        a, b, c = snap(1), snap(2), snap(4)
-        left = telemetry.merge_snapshots(
-            telemetry.merge_snapshots(a, b), c
-        )
-        right = telemetry.merge_snapshots(
-            a, telemetry.merge_snapshots(b, c)
-        )
-        assert left == right
-        assert left["activity"] == {
-            "vectors": 7, "toggles": 21, "functional": 14, "glitches": 7,
-        }
-
-    def test_activity_cross_process_round_trip(self):
-        """Probe counters survive snapshot -> diff -> merge intact."""
-        from repro.pcset.simulator import PCSetSimulator
-
-        telemetry.enable()
-        circuit = ripple_carry_adder(2)
-        warm = vectors_for(circuit, 6, seed=1)
-        work = vectors_for(circuit, 9, seed=2)
-
-        def probed_run(vectors):
-            sim = PCSetSimulator(circuit, word_width=8, probes=True)
-            sim.reset([0] * len(circuit.inputs))
-            sim.apply_vectors([list(v) for v in vectors])
-            return sim.activity_report()
-
-        probed_run(warm)  # pre-existing parent-side counts
-        before = telemetry.snapshot()
-        report = probed_run(work)  # "the worker's extra work"
-        delta = telemetry.diff_snapshots(telemetry.snapshot(), before)
-        assert delta["activity"]["vectors"] == len(work)
-        assert delta["activity"]["toggles"] == report.total_toggles()
-
-        telemetry.reset()
-        telemetry.merge_snapshot(delta)
-        merged = telemetry.snapshot()["activity"]
-        assert merged == delta["activity"]
