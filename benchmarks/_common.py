@@ -14,6 +14,11 @@ Environment knobs (all optional):
     ``c`` (default when a C compiler is present) or ``python``.
 ``REPRO_BENCH_SUITE``
     Comma-separated circuit names (default: all ten).
+``REPRO_BENCH_OUT``
+    A directory that receives every results file and ``BENCH_*.json``
+    snapshot instead of ``benchmarks/results/`` and the repo root
+    (``make check`` points it at a temporary directory, so its
+    reduced-scale runs validate without touching the tracked files).
 
 Each figure benchmark writes its paper-shaped table to
 ``benchmarks/results/<figure>.txt`` and prints it, so EXPERIMENTS.md
@@ -31,8 +36,10 @@ from repro.fuzz.oracles import BENCH_FIGURES, validate_bench
 from repro.fuzz.oracles import load_bench as _oracle_load_bench
 from repro.netlist.iscas85 import ISCAS85_SPECS, make_circuit
 
-RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).resolve().parent.parent
+_OUT = os.environ.get("REPRO_BENCH_OUT")
+RESULTS_DIR = Path(_OUT) if _OUT else Path(__file__).parent / "results"
+SNAPSHOT_DIR = Path(_OUT) if _OUT else REPO_ROOT
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 NUM_VECTORS = int(os.environ.get("REPRO_BENCH_VECTORS", "256"))
@@ -86,7 +93,7 @@ def write_report(
     backend: str | None = None,
     metrics: dict | None = None,
 ) -> None:
-    """Persist a figure's table under benchmarks/results/ and print it.
+    """Persist a figure's table under ``RESULTS_DIR`` and print it.
 
     Alongside the human-readable ``<figure>.txt``, a machine-readable
     ``<figure>.json`` is always written with the shape
@@ -118,7 +125,7 @@ def load_bench(name: str) -> dict | None:
 
 
 def write_snapshot(name: str) -> dict:
-    """Round-trip ``results/<figure>.json`` into ``BENCH_<name>.json``.
+    """Round-trip ``<figure>.json`` into ``BENCH_<name>.json``.
 
     Reads back the results JSON :func:`write_report` just produced,
     validates it against the shared bench schema, and only then copies
@@ -129,7 +136,7 @@ def write_snapshot(name: str) -> dict:
     figure = BENCH_FIGURES[name]
     payload = json.loads((RESULTS_DIR / f"{figure}.json").read_text())
     validate_bench(payload, name)
-    path = REPO_ROOT / f"BENCH_{name}.json"
+    path = SNAPSHOT_DIR / f"BENCH_{name}.json"
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )

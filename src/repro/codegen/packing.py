@@ -30,14 +30,15 @@ Two IR operators cross lanes and disqualify a program:
 :func:`packing_mode` classifies a program:
 
 ``"full"``
-    Shift-free *and* memoryless: every variable an expression reads has
-    already been written earlier in the same pass.  Packed evaluation
+    Shift-free *and* memoryless: nothing is carried
+    (:meth:`~repro.codegen.program.Program.carried` is empty) — every
+    variable an expression reads was written earlier in the same pass.  Packed evaluation
     is bit-identical to a scalar pass in every lane, for every emitted
     output and every state word.  Zero-delay LCC programs are of this
     kind.
 ``"settled"``
-    Shift-free but stateful: some variable is read before it is written
-    (the PC-set method's zero-element moves read the *previous*
+    Shift-free but stateful: some variable is carried, read before it
+    is written (the PC-set method's zero-element moves read the *previous*
     vector's final values).  Lanes still evolve independently, but a
     lane's intermediate-time values depend on state the scalar chain
     would have threaded vector-by-vector.  Only the *settled final*
@@ -63,15 +64,7 @@ from array import array
 from typing import Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.program import (
-    Assign,
-    Bin,
-    Emit,
-    Expr,
-    Program,
-    Un,
-    Var,
-)
+from repro.codegen.program import Program
 from repro.errors import SimulationError
 
 __all__ = [
@@ -104,38 +97,11 @@ def is_shift_free(program: Program) -> bool:
             and stats.adds == 0 and stats.popcounts == 0)
 
 
-def _reads(expr: Expr):
-    if isinstance(expr, Var):
-        yield expr.name
-    elif isinstance(expr, Bin):
-        yield from _reads(expr.a)
-        yield from _reads(expr.b)
-    elif isinstance(expr, Un):
-        yield from _reads(expr.a)
-
-
-def _reads_state_before_write(program: Program) -> bool:
-    """Does any expression read a variable not yet assigned this pass?
-
-    Such a read observes the *previous* vector's value (or the declared
-    initial value) — the program carries state between passes.
-    """
-    written: set[str] = set()
-    for stmt in program.statements():
-        if isinstance(stmt, (Assign, Emit)):
-            for name in _reads(stmt.expr):
-                if name not in written:
-                    return True
-        if isinstance(stmt, Assign):
-            written.add(stmt.dest)
-    return False
-
-
 def packing_mode(program: Program) -> str:
     """``"full"``, ``"settled"`` or ``"none"`` (see module docstring)."""
     if not is_shift_free(program):
         return "none"
-    if _reads_state_before_write(program):
+    if program.carried():
         return "settled"
     return "full"
 

@@ -169,9 +169,11 @@ class ProbePlan:
     nets:
         Counted nets, in declaration order.
     toggle_slots / functional_slots:
-        net -> state-word index of its counter.  ``functional_slots``
-        is ``None`` for zero-delay programs, where functional toggles
-        equal total toggles by construction.
+        net -> ``state_vars`` index of its counter (a machine's
+        ``interface.state_position`` maps it into the state dump; a
+        counter no pass updates is not carried and reads as zero).
+        ``functional_slots`` is ``None`` for zero-delay programs, where
+        functional toggles equal total toggles by construction.
     state_pad:
         Probe state words appended after the technique's own state
         (a steady-state encoding extends with this many zeros).
@@ -261,12 +263,16 @@ class ProbeRuntime:
         """Move counter values out of machine state, zeroing the slots."""
         self._since_drain = 0
         state = machine.dump_state()
+        position = machine.interface.state_position
         dirty = False
         plan = self.plan
         emit = telemetry.enabled()
         toggle_delta = 0
         functional_delta = 0
         for net, slot in plan.toggle_slots.items():
+            slot = position.get(slot)
+            if slot is None:
+                continue  # a counter no pass touches stays zero
             value = state[slot]
             if value:
                 self.toggles[net] += value
@@ -278,6 +284,9 @@ class ProbeRuntime:
         if plan.functional_slots is not None:
             assert self.functional is not None
             for net, slot in plan.functional_slots.items():
+                slot = position.get(slot)
+                if slot is None:
+                    continue
                 value = state[slot]
                 if value:
                     self.functional[net] += value
@@ -310,12 +319,14 @@ class ProbeRuntime:
         reaches the telemetry counters.
         """
         state = machine.dump_state()
+        position = machine.interface.state_position
         slots = list(self.plan.toggle_slots.values())
         if self.plan.functional_slots is not None:
             slots.extend(self.plan.functional_slots.values())
         dirty = False
         for slot in slots:
-            if state[slot]:
+            slot = position.get(slot)
+            if slot is not None and state[slot]:
                 state[slot] = 0
                 dirty = True
         if dirty:

@@ -23,6 +23,18 @@ layout:
     values to the output list.  Benchmarks compile programs without
     this section, matching the paper's timing methodology ("none of the
     execution times include ... printing output", §5).
+
+Carried and persistent state
+----------------------------
+Most state variables are written before they are read in every pass:
+their value never crosses from one vector to the next.  Only the
+*carried* ones (:meth:`Program.carried`) do — the PC-set method's
+final values that the next vector's zero-element moves read, the
+parallel technique's old finals, probe counters, constant-cone
+variables that are declared and never reassigned.  A compiled machine
+keeps exactly :attr:`Program.persistent` between passes: the carried
+set, or every state variable for the copy :meth:`Program.observable`
+returns, which callers that read intermediate values compile instead.
 """
 
 from __future__ import annotations
@@ -348,6 +360,7 @@ class Program:
         #: elsewhere in the circuit.  Must uniquely determine the
         #: generated source for every backend.
         self.content_key: Optional[str] = None
+        self._observable = False
 
     # ------------------------------------------------------------------
     def declare(self, name: str, initial: int = 0) -> str:
@@ -443,10 +456,43 @@ class Program:
                             f"{ref!r}"
                         )
 
-    def without_output(self) -> "Program":
-        """A shallow copy with the output section dropped (timing runs)."""
+    def carried(self) -> list[str]:
+        """State variables read before they are written in one pass.
+
+        One walk over init, body and output: a read of a variable no
+        earlier statement of the pass assigned sees the previous pass's
+        value (or the declared initial one).  That covers variables
+        only ever read, such as constant nets.  Temporaries are never
+        carried.  Returned in ``state_vars`` order.
+        """
+        written: set[str] = set()
+        read_first: set[str] = set()
+        for stmt in self.statements():
+            if isinstance(stmt, (Assign, Emit)):
+                read_first.update(
+                    name for name in _variables(stmt.expr)
+                    if name not in written
+                )
+                if isinstance(stmt, Assign):
+                    written.add(stmt.dest)
+        return [name for name in self.state_vars if name in read_first]
+
+    @property
+    def persistent(self) -> list[str]:
+        """The state variables a compiled machine keeps between passes.
+
+        :meth:`carried`, or every state variable on an
+        :meth:`observable` or :meth:`without_output` copy; in
+        ``state_vars`` order.  It is the layout of
+        ``dump_state``/``load_state`` on every backend.
+        """
+        if self._observable:
+            return list(self.state_vars)
+        return self.carried()
+
+    def _copy(self, name: str) -> "Program":
         clone = Program(
-            self.name + "_noout",
+            name,
             word_width=self.word_width,
             inputs=self.inputs,
             mask_assignments=self.mask_assignments,
@@ -459,7 +505,34 @@ class Program:
         clone._temp_set = self._temp_set
         clone.init = self.init
         clone.body = self.body
+        clone.output = self.output
+        clone._observable = self._observable
+        return clone
+
+    def without_output(self) -> "Program":
+        """A shallow copy with the output section dropped (timing runs).
+
+        With no outputs the state is all a pass produces, so the copy
+        keeps every state variable, like :meth:`observable`: otherwise
+        the C compiler would delete every statement that feeds neither
+        an output nor a carried word, and a timed run would no longer
+        simulate the circuit.
+        """
+        clone = self._copy(self.name + "_noout")
         clone.output = []
+        clone._observable = True
+        return clone
+
+    def observable(self) -> "Program":
+        """A shallow copy that keeps every state variable between passes.
+
+        Same statements and name; only :attr:`persistent` widens to
+        ``state_vars``, so ``dump_state`` after a pass shows every
+        variable's value.  The copy has no ``content_key`` (that names
+        the narrower program), so the cache keys it on its own source.
+        """
+        clone = self._copy(self.name)
+        clone._observable = True
         return clone
 
     def interface(self) -> "MachineInterface":
@@ -570,22 +643,29 @@ class MachineInterface:
     """The per-pass ABI of a compiled program.
 
     Every net holds one word, so one pass consumes ``len(inputs)``
-    vector words, carries ``len(state_vars)`` state words and produces
-    one word per Emit.  Both emitters and the runtime's buffer sizing
-    derive from this one object.
+    vector words, keeps one state word per :attr:`Program.persistent`
+    variable and produces one word per Emit.  ``state_slots[k]`` is
+    the ``state_vars`` index of state word ``k``, and
+    ``state_position`` maps it back.  Both emitters and the runtime's
+    buffer sizing derive from this one object.
     """
 
-    __slots__ = ("word_width", "num_inputs", "num_state_vars",
-                 "num_emits", "vector_words", "state_words",
-                 "output_words", "entry_points", "_labels")
+    __slots__ = ("word_width", "num_inputs", "num_emits", "vector_words",
+                 "state_names", "state_slots", "state_position",
+                 "state_words", "output_words", "entry_points", "_labels")
 
     def __init__(self, program: Program) -> None:
         self.word_width = program.word_width
         self.num_inputs = len(program.inputs)
-        self.num_state_vars = len(program.state_vars)
         self.num_emits = len(program.output_labels())
         self.vector_words = self.num_inputs
-        self.state_words = self.num_state_vars
+        self.state_names = program.persistent
+        index = {name: i for i, name in enumerate(program.state_vars)}
+        self.state_slots = [index[name] for name in self.state_names]
+        self.state_position = {
+            slot: k for k, slot in enumerate(self.state_slots)
+        }
+        self.state_words = len(self.state_slots)
         self.output_words = self.num_emits
         self.entry_points = ENTRY_POINTS
         self._labels = program.output_labels()

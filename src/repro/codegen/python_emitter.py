@@ -1,9 +1,12 @@
 """Render a :class:`~repro.codegen.program.Program` as Python source.
 
 The generated artifact is a *generator function* (a coroutine machine):
-all persistent variables live as locals of a suspended frame, so every
-access compiles to ``LOAD_FAST``/``STORE_FAST`` and no per-step
-packing/unpacking of state is needed.  The protocol:
+every variable lives as a local of a suspended frame, so every access
+compiles to ``LOAD_FAST``/``STORE_FAST`` and no per-step packing or
+unpacking of state is needed.  Only the program's
+:attr:`~repro.codegen.program.Program.persistent` variables are
+initialized up front and reachable through the state opcodes; the
+others are written before they are read in every pass.  The protocol:
 
 - prime with ``next(gen)``;
 - ``gen.send((0, V))`` runs one vector and returns the output list;
@@ -165,7 +168,7 @@ def _statement_lines(
 def emit_python(program: Program) -> str:
     """Produce the full Python source of the coroutine machine."""
     program.validate()
-    state_names = program.state_vars
+    state_names = program.persistent
     lines: list[str] = [
         f"# generated by repro - program {program.name!r}",
         f"# word width {program.word_width}, "

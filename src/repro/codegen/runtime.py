@@ -39,6 +39,17 @@ without re-instrumenting call sites.  Packed batches record the number
 of *scalar vectors represented*, not passes, so ``vectors_per_second``
 states true pattern throughput.
 
+Persistent state
+----------------
+A machine keeps only its program's
+:attr:`~repro.codegen.program.Program.persistent` variables between
+passes: the carried set, or every state variable when the machine was
+compiled from :meth:`~repro.codegen.program.Program.observable`.
+``num_state``, ``dump_state``, ``load_state`` and ``state_dict`` cover
+exactly those words, in ``state_vars`` order; everything else is a
+local of the generated pass.  Callers that hold a full-layout vector
+(one word per state variable) reduce it with :meth:`Machine.gather_state`.
+
 Program cache
 -------------
 Repeated harness/benchmark runs rebuild identical programs; the
@@ -48,8 +59,9 @@ fingerprint is a hash of the generated source, so any change to the
 program invalidates the entry.  Python entries cache the ``compile()``d
 code object; C entries cache the built artifacts, and every cache hit
 *copies* the shared library to a fresh path before ``dlopen`` — the
-dynamic loader dedupes loaded objects by inode, and a shared handle
-would alias the per-machine static state.
+dynamic loader dedupes loaded objects by inode, and each library holds
+its machine's persistent words in one file-scope array, which a shared
+handle would alias between machines.
 """
 
 from __future__ import annotations
@@ -338,9 +350,9 @@ class Machine:
     the program's input order) and returns the emitted output words.
     ``step_many(VS)``/``run_block(VS, out)`` run whole batches with the
     vector loop inside the generated code (see the module docstring).
-    ``dump_state()``/``load_state()`` expose the persistent variables in
-    declaration order — this is how simulators seed the previous-vector
-    steady state.
+    ``dump_state()``/``load_state()`` expose the persistent variables
+    (:attr:`Program.persistent`) in declaration order — this is how
+    simulators seed the previous-vector steady state.
 
     Machines are context managers: ``with compile_program(...) as m:``
     guarantees backend artifacts are cleaned up (a no-op on the Python
@@ -504,7 +516,15 @@ class Machine:
 
     def state_dict(self) -> dict[str, int]:
         """Persistent state keyed by variable name."""
-        return dict(zip(self.program.state_vars, self.dump_state()))
+        return dict(zip(self.interface.state_names, self.dump_state()))
+
+    def gather_state(self, values: Sequence[int]) -> list[int]:
+        """This machine's state words out of a full-layout vector.
+
+        ``values`` holds one word per ``program.state_vars`` entry; the
+        result is what :meth:`load_state` takes.
+        """
+        return [values[slot] for slot in self.interface.state_slots]
 
     def cleanup(self) -> None:
         """Release backend artifacts (no-op unless a backend overrides)."""

@@ -54,7 +54,7 @@ for them and ``"auto"`` falls back to the scalar lane loop.
 from __future__ import annotations
 
 from array import array
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.packing import PatternBlock, is_shift_free, pattern_block
@@ -409,6 +409,12 @@ class ParallelFaultSimulator:
             initial = [0] * len(self.circuit.inputs)
         settled = steady_state(self.circuit, initial)
         mask = (1 << self.word_width) - 1
+        # The replicated good steady state, one word per state
+        # variable; each machine gathers its own words from it.
+        state = [
+            (-(settled[net_name] & 1)) & mask
+            for net_name, _t, _i in self.variables.ordered
+        ]
         packed = self.patterns == "packed" or (
             self.patterns == "auto" and self._pack_eligible
         )
@@ -421,23 +427,12 @@ class ParallelFaultSimulator:
                     [[v & 1 for v in vector] for vector in vectors],
                     self.word_width,
                 )
-            # Nets in a constant cone keep their settled value in a
-            # *state* variable that passes read but (when unfaulted)
-            # never recompute; a fault pinned on such a net would
-            # poison it for every later fault.  Each scan therefore
-            # reloads this replicated steady state, like the scalar
-            # mode does per batch.  For input-driven nets the load is
-            # scratch (overwritten every pass), so any settled state
-            # gives the same — serial-identical — finals.
-            # Marshalled once per run.
-            state = array(block.typecode, [
-                (-(settled[net_name] & 1)) & mask
-                for net_name, _t, _i in self.variables.ordered
-            ])
             # The good words are fault-independent (every mask input is
             # all-ones, so the splices are identities) — computed once
             # and shared by every batch whichever machine it compiles.
             goods: Optional[list[int]] = None
+            # Each machine's state words, gathered once per run.
+            gathered: dict = {}
 
         detected: dict[Fault, int] = {}
         undetected: list[Fault] = []
@@ -445,12 +440,12 @@ class ParallelFaultSimulator:
             batch = list(faults[start:start + self.lanes_per_batch])
             if packed:
                 outcome, goods = self._run_batch_packed(
-                    batch, block, mask, goods, state
+                    batch, block, mask, goods, state, gathered
                 )
             else:
                 with telemetry.span("fault.screen"):
                     outcome = self._run_batch(
-                        batch, vectors, initial, settled, mask,
+                        batch, vectors, initial, state, mask,
                         drop_detected,
                     )
             for fault, first in zip(batch, outcome):
@@ -465,7 +460,7 @@ class ParallelFaultSimulator:
         batch: list[Fault],
         vectors: Sequence[Sequence[int]],
         initial: Sequence[int],
-        settled: Mapping[str, int],
+        state: list[int],
         mask: int,
         drop_detected: bool,
     ) -> list[Optional[int]]:
@@ -495,10 +490,7 @@ class ParallelFaultSimulator:
         # the initial vector lets every faulty lane settle to its own
         # steady state (one pass suffices: the program evaluates in
         # levelized order with the fault masks applied at each write).
-        machine.load_state([
-            (-(settled[net_name] & 1)) & mask
-            for net_name, _t, _i in self.variables.ordered
-        ])
+        machine.load_state(machine.gather_state(state))
         machine.step(vector_words(initial))
 
         # Vectors run through the machine in chunks: one batched
@@ -541,17 +533,21 @@ class ParallelFaultSimulator:
         block: PatternBlock,
         mask: int,
         goods: Optional[list[int]],
-        state: array,
+        state: list[int],
+        gathered: dict,
     ) -> tuple[list[Optional[int]], list[int]]:
         """First detections for a fault batch, patterns in the lanes.
 
         Input-driven finals depend on the current lane inputs alone
         (the circuit is acyclic and the fault is pinned at every
         write), so no warm-up pass is needed.  Constant-cone finals
-        live in state variables instead; ``state`` (the replicated good
-        steady state, as machine words) is reloaded before every scan
-        so a fault pinned on a constant net cannot leak into the next
-        fault's comparison.
+        live in carried state variables that passes read but (when
+        unfaulted) never recompute, so a fault pinned on such a net
+        would poison them for every later fault.  Every scan therefore
+        reloads the machine's words of ``state`` (the replicated good
+        steady state), gathered into machine words once per machine in
+        ``gathered``.  For input-driven nets the load is scratch, so
+        any settled state gives the same — serial-identical — finals.
 
         The pass buffer — pattern planes plus the fault mask/value
         slots, all-ones masks and zero values — is laid out once per
@@ -563,9 +559,13 @@ class ParallelFaultSimulator:
         faulted_nets = sorted({fault.net for fault in batch})
         machine, nets, _slots = self._machine_for(faulted_nets)
         run = block.laid_out(extra=[mask] * len(nets) + [0] * len(nets))
+        words = gathered.get(machine)
+        if words is None:
+            words = array(block.typecode, machine.gather_state(state))
+            gathered[machine] = words
         if goods is None:
             with telemetry.span("fault.good"):
-                goods = self._good_packed(machine, run, state)
+                goods = self._good_packed(machine, run, words)
         passes = run.split()
         slot_of = {net: k for k, net in enumerate(nets)}
         n_out = machine.num_outputs
@@ -579,7 +579,7 @@ class ParallelFaultSimulator:
                 value_slot = len(nets) + mask_slot
                 run.set_extra(mask_slot, 0)
                 run.set_extra(value_slot, mask if fault.value else 0)
-                machine.load_state(state)
+                machine.load_state(words)
                 first: Optional[int] = None
                 for p, part in enumerate(passes):
                     out: list[int] = []
@@ -601,7 +601,7 @@ class ParallelFaultSimulator:
         return first_detection, goods
 
     def _good_packed(
-        self, machine, run: PatternBlock, state: array
+        self, machine, run: PatternBlock, words: array
     ) -> list[int]:
         """Good-machine pre-pass: output words in pass order.
 
@@ -611,7 +611,7 @@ class ParallelFaultSimulator:
         """
         flat: list[int] = []
         if run.count:
-            machine.load_state(state)
+            machine.load_state(words)
             machine.run_packed_block(
                 run, flat, vectors_represented=run.count
             )

@@ -252,8 +252,10 @@ def _validate_batched(
         # pattern lanes (plus the reconstruction fill group), not the
         # scalar end state, and the raw-word identity above is the
         # whole contract.  Only the scalar run_block fallback promises
-        # an identical final state.
-        if batched.machine.dump_state() != scalar.machine.dump_state():
+        # an identical final state, every state variable included: the
+        # batched simulator's switch to its observing machine must
+        # reproduce the one the scalar loop observed all along.
+        if batched.observe().dump_state() != scalar.observe().dump_state():
             raise Mismatch(
                 f"{technique}[batched]", len(vectors) - 1, [],
                 "  final machine state diverged from the scalar loop",

@@ -210,12 +210,15 @@ class LCCSimulator(CompiledSimulator):
             words, self.word_width, context="packed input word"
         )
         out = self.machine.step(words)
+        self._ran(1, lambda machine: machine.step(words))
         return dict(zip(self._outputs, out))
 
     def evaluate_all_nets(
         self, vector: Mapping[str, int] | Sequence[int]
     ) -> dict[str, int]:
-        """Settle and return every net's value (from machine state)."""
+        """Settle and return every net's value (from the state of the
+        observing machine, :meth:`observe`)."""
+        self.observe()
         self.apply_vector(vector)
         state = self.machine.state_dict()
         # State variable order matches circuit.nets insertion order
@@ -297,5 +300,7 @@ class LCCSimulator(CompiledSimulator):
             )
         if vector is None:
             vector = [0] * len(self._inputs)
-        self.machine.step(self._vector_words(vector))
+        words = self._vector_words(vector)
+        self.machine.step(words)
+        self._ran(1, lambda machine: machine.step(words))
         self._probe_runtime.discard(self.machine)

@@ -134,7 +134,12 @@ def _generate_parallel_program(
             program, layout, monitored_list, levels.depth, output_mode
         )
     program.validate()
-    return program, layout
+    # This layout carries the top word of every field and reads every
+    # primary-input word across the whole body.  As locals those values
+    # swamp gcc's register allocator (full c5315: 203 s, against 27 s
+    # when every variable was a file-scope static), so the program
+    # keeps every state variable; that compiles in 12 s.
+    return program.observable(), layout
 
 
 def _generate_init(

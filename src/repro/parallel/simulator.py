@@ -153,8 +153,9 @@ class ParallelSimulator(CompiledSimulator):
 
     # ------------------------------------------------------------------
     def _state_words(self) -> dict[str, list[int]]:
-        """Current field words per net, decoded from machine state."""
-        state = self.machine.dump_state()
+        """Current field words per net, decoded from the state of the
+        observing machine (:meth:`observe`)."""
+        state = self.observe().dump_state()
         result: dict[str, list[int]] = {}
         cursor = 0
         for net_name in self.circuit.nets:

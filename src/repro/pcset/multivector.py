@@ -149,7 +149,7 @@ class MultiVectorPCSetSimulator(CompiledSimulator):
         """Settled monitored values of every lane after the last step."""
         state = dict(zip(
             (identifier for _n, _t, identifier in self.variables.ordered),
-            self.machine.dump_state(),
+            self.observe().dump_state(),
         ))
         result = []
         for lane in range(self.lanes):

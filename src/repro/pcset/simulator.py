@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.codegen.packing import packed_bits, packing_mode
+from repro.codegen.packing import packing_mode
 from repro.codegen.probes import ProbeSpec, instrument_pcset_program
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
@@ -42,8 +42,9 @@ class PCSetSimulator(CompiledSimulator):
     (``apply_vectors``, ``run_batch``, ``prepare_batch`` +
     ``run_prepared``): one dispatch drives the whole batch through the
     generated ``run_block`` loop.  ``apply_vector_history`` stays
-    scalar — it reads the persistent state before and after each
-    vector.
+    scalar — it reads every state variable before and after each
+    vector, so it (like ``final_values``) runs on the observing
+    machine of :meth:`~repro.simbase.CompiledSimulator.observe`.
     """
 
     def __init__(
@@ -114,7 +115,7 @@ class PCSetSimulator(CompiledSimulator):
         """
         before = dict(zip(
             (identifier for _n, _t, identifier in self.variables.ordered),
-            self.machine.dump_state(),
+            self.observe().dump_state(),
         ))
         self.apply_vector(vector)
         after = dict(zip(
@@ -188,7 +189,7 @@ class PCSetSimulator(CompiledSimulator):
         words = [self._vector_words(vector) for vector in vectors]
         if (self.packing_mode in ("full", "settled") and self._inputs
                 and self.probe_plan is None):
-            rows = packed_bits(self.machine, words)
+            rows = self._run_settled(words)
         else:
             if not self._settled:
                 raise SimulationError("call reset() before settled_outputs()")
@@ -204,7 +205,7 @@ class PCSetSimulator(CompiledSimulator):
         """Settled values of the monitored nets after the last vector."""
         state = dict(zip(
             (identifier for _n, _t, identifier in self.variables.ordered),
-            self.machine.dump_state(),
+            self.observe().dump_state(),
         ))
         return {
             net_name: state[self.variables.final_var(net_name)] & 1

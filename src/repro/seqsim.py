@@ -129,10 +129,10 @@ class CompiledSequentialSimulator:
         self._fast = engine == "lcc" and not incremental
         if self._fast:
             # Positions of the nets the clocked loop actually samples
-            # (external outputs + flip-flop D pins) inside the LCC
-            # machine's state-dump order (= core.nets declaration
-            # order), so the batched driver avoids decoding every net
-            # of every cycle.
+            # (external outputs + flip-flop D pins) inside the state
+            # dump of the LCC core's observing machine (= core.nets
+            # declaration order), so the batched driver avoids
+            # decoding every net of every cycle.
             index_of = {n: i for i, n in enumerate(core.nets)}
             self._output_slots = [
                 (n, index_of[n]) for n in sequential.external_outputs
@@ -297,7 +297,7 @@ class CompiledSequentialSimulator:
         try:
             if not self._fast:
                 return [self.step(inputs) for inputs in input_sequence]
-            machine = self._sim.machine
+            machine = self._sim.observe()
             step = machine.step
             dump = machine.dump_state
             results: list[dict[str, int]] = []

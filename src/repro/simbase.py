@@ -6,17 +6,41 @@ same way: compile it on a backend, seed the persistent state from a
 zero-delay steady state, feed vectors, decode outputs.  This module
 hosts that common machinery; the technique-specific subclasses provide
 only the program generation and the state encoding/decoding.
+
+Observation
+-----------
+The machine a simulator compiles first keeps only the program's
+carried words between passes (see :mod:`repro.codegen.program`), so
+the hot paths — batches, prepared runs, fault screens — never pay to
+store values nobody reads.  The scalar APIs that read other variables
+after a pass (histories, final values, every net's value) all go
+through :meth:`CompiledSimulator.observe`.  Its first call compiles the
+:meth:`~repro.codegen.program.Program.observable` copy of the program,
+brings it to the state the first machine would show if it kept every
+variable, and runs every later pass on it.
+
+Bringing it there needs no extra work on the hot paths: the simulator
+remembers how to re-run its last calls (references to their inputs,
+at most the last two scalar rows) and replays them on the new machine.
+Replayed from the last seeded state, the passes reproduce every
+variable exactly.  Two or more passes reproduce it from any start: a
+pass's settled final values depend only on its own inputs and the
+never-written constant words, and the carried words a pass reads are
+such finals, so only the last pass's intermediate values depend on
+the pass before.  The carried words themselves (probe counters
+included) are then copied over from the first machine.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.packing import (
     PatternBlock,
     packed_apply,
+    packed_bits,
     packing_mode,
     pattern_block,
 )
@@ -82,9 +106,18 @@ class CompiledSimulator:
         )
         compiled = program if with_outputs else program.without_output()
         self._compiled_program = compiled
+        self._backend_kwargs = backend_kwargs
         self.machine: Machine = compile_program(
             compiled, backend, **backend_kwargs
         )
+        #: Whether :attr:`machine` keeps every state variable.
+        self._observing = self.machine.num_state == len(compiled.state_vars)
+        #: The full-layout state of the last :meth:`reset` (``None``:
+        #: the declared initial values).
+        self._seed: Optional[list[int]] = None
+        #: ``(passes, replay)`` of the latest calls since the seed, as
+        #: many as it takes to hold two passes (see :meth:`observe`).
+        self._tail: list[tuple[int, Callable[[Machine], object]]] = []
         #: Pattern-lane packing eligibility of the *compiled* program
         #: (``"full"``/``"settled"``/``"none"`` — see
         #: :mod:`repro.codegen.packing`).  Programs with shifts or
@@ -131,12 +164,61 @@ class CompiledSimulator:
                     # the reload below would silently discard it.
                     self._probe_runtime.drain(self.machine)
                 state = state + [0] * self.probe_plan.state_pad
-            self.machine.load_state(state)
+            self.machine.load_state(self.machine.gather_state(state))
+        self._seed = state
+        self._tail = []
         self._settled = True
 
     def _encode_state(self, settled: Mapping[str, int]) -> list[int]:
-        """Persistent-state words for a constant-history steady state."""
+        """Full-layout state words (one per state variable) for a
+        constant-history steady state."""
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # observation
+    # ------------------------------------------------------------------
+    def _ran(self, passes: int, replay: Callable[[Machine], object]) -> None:
+        """Remember a call that ran ``passes`` passes on the machine.
+
+        ``replay(machine)`` runs the same passes on another machine.
+        Older calls are forgotten once the newer ones hold two passes.
+        """
+        if self._observing or not passes:
+            return
+        call = (passes, replay)
+        self._tail = [call] if passes >= 2 else self._tail[-1:] + [call]
+
+    def observe(self) -> Machine:
+        """Switch to a machine that keeps every state variable.
+
+        The first call compiles the program's
+        :meth:`~repro.codegen.program.Program.observable` copy, brings
+        it to the state this simulator's machine would show if it kept
+        every variable (see the module docstring), and makes it
+        :attr:`machine` from then on.  Batches prepared before the
+        switch still run: they carry input words only.  Later calls
+        return the machine at once.
+        """
+        if self._observing:
+            return self.machine
+        hot = self.machine
+        observer = compile_program(
+            hot.program.observable(), self.backend, **self._backend_kwargs
+        )
+        if self._seed is not None:
+            observer.load_state(self._seed)
+        for _passes, replay in self._tail:
+            replay(observer)
+        state = observer.dump_state()
+        for slot, word in zip(hot.interface.state_slots, hot.dump_state()):
+            state[slot] = word
+        observer.load_state(state)
+        observer.counters = hot.counters
+        hot.cleanup()
+        self.machine = observer
+        self._observing = True
+        self._tail = []
+        return observer
 
     # ------------------------------------------------------------------
     # running
@@ -197,7 +279,9 @@ class CompiledSimulator:
         """Simulate one vector; returns the raw emitted output words."""
         if not self._settled:
             raise SimulationError("call reset() before apply_vector()")
-        out = self.machine.step(self._vector_words(vector))
+        words = self._vector_words(vector)
+        out = self.machine.step(words)
+        self._ran(1, lambda machine: machine.step(words))
         if self._probe_runtime is not None:
             self._probe_runtime.note_vectors(self.machine, 1)
         return out
@@ -223,27 +307,37 @@ class CompiledSimulator:
         words = self._batch_words(vectors)
         block = self._pattern_block(words)
         runtime = self._probe_runtime
-        if block is not None and runtime is None:
-            telemetry.counter("packing.packed_batches")
-            return packed_apply(self.machine, block)
-        telemetry.counter(
-            "packing.packed_batches" if block is not None
-            else f"packing.fallback.{self.packing_mode}"
-        )
         masked = self._words_masked
+        if block is not None:
+            telemetry.counter("packing.packed_batches")
+        else:
+            telemetry.counter(f"packing.fallback.{self.packing_mode}")
         if runtime is None:
-            return self.machine.step_many(words, masked=masked)
-        out: list[list[int]] = []
-        for start, length in runtime.chunk_vectors(len(words)):
-            if block is not None:
-                out.extend(packed_apply(
-                    self.machine, block.part(start, length)
-                ))
-            else:
-                out.extend(self.machine.step_many(
-                    words[start:start + length], masked=masked
-                ))
-            runtime.note_vectors(self.machine, length)
+            out = (
+                packed_apply(self.machine, block) if block is not None
+                else self.machine.step_many(words, masked=masked)
+            )
+        else:
+            out = []
+            for start, length in runtime.chunk_vectors(len(words)):
+                if block is not None:
+                    out.extend(packed_apply(
+                        self.machine, block.part(start, length)
+                    ))
+                else:
+                    out.extend(self.machine.step_many(
+                        words[start:start + length], masked=masked
+                    ))
+                runtime.note_vectors(self.machine, length)
+        if block is not None:
+            # Packing programs are memoryless: replaying the block
+            # settles every variable as its last pass left it.
+            self._ran(len(block) + 1 if block.count else 0,
+                      lambda machine: packed_apply(machine, block))
+        else:
+            last = words[-2:]
+            self._ran(len(last), lambda machine: machine.step_many(
+                last, masked=masked))
         return out
 
     def _pattern_block(
@@ -363,25 +457,31 @@ class CompiledSimulator:
         """
         if not self._settled:
             raise SimulationError("call reset() before running")
-        machine, parts = prepared
+        # The batch runs on the current machine, which may have
+        # changed since it was prepared (see :meth:`observe`).
+        _machine, parts = prepared
+        machine = self.machine
         runtime = self._probe_runtime
         if runtime is not None:
             # Start from zeroed counters so each pre-marshalled part
             # has the full wrap-free budget.
-            runtime.drain(self.machine)
-        for payload, passes, represented in parts:
-            if isinstance(machine, CMachine):
-                machine.run_packed(
-                    payload, passes, vectors_represented=represented
-                )
-            elif isinstance(payload, PatternBlock):
-                machine.run_packed_block(
-                    payload, vectors_represented=represented
-                )
-            else:
-                machine.run_block(payload, masked=True)
+            runtime.drain(machine)
+        passes = 0
+        for part in parts:
+            _run_part(machine, part)
+            passes += part[1]
             if runtime is not None:
-                runtime.note_vectors(self.machine, represented)
+                runtime.note_vectors(machine, part[2])
+        self._ran(passes, lambda other: [
+            _run_part(other, part) for part in parts
+        ])
+
+    def _run_settled(self, words: list[list[int]]) -> list[list[int]]:
+        """Output bits of ``words`` run pattern-packed
+        (:func:`~repro.codegen.packing.packed_bits`)."""
+        block = pattern_block(words, self.program.word_width)
+        self._ran(len(block), lambda machine: packed_bits(machine, block))
+        return packed_bits(self.machine, block)
 
     def run_batch(self, vectors: Sequence[Sequence[int]]) -> None:
         """Simulate many vectors back to back (the timing fast path)."""
@@ -466,3 +566,14 @@ class CompiledSimulator:
     def source(self) -> str:
         """The generated source the machine was compiled from."""
         return getattr(self.machine, "source", "")
+
+
+def _run_part(machine: Machine, part: tuple) -> None:
+    """Run one pre-marshalled ``(payload, passes, vectors)`` part."""
+    payload, passes, represented = part
+    if isinstance(machine, CMachine):
+        machine.run_packed(payload, passes, vectors_represented=represented)
+    elif isinstance(payload, PatternBlock):
+        machine.run_packed_block(payload, vectors_represented=represented)
+    else:
+        machine.run_block(payload, masked=True)

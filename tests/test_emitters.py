@@ -6,6 +6,7 @@ programs are generated and run on both.
 """
 
 import random
+import re
 
 import pytest
 
@@ -102,11 +103,14 @@ class TestCRendering:
         source = emit_c(p)
         assert "typedef uint32_t word;" in source
         assert "typedef int32_t sword;" in source
-        assert "static word x = 3U;" in source
-        assert "word t0;" in source
+        assert "static word S[1] = {3U};" in source
+        assert "#define x S[0]" in source
+        assert "    word t0;" in source
+        assert "    x = x & t0;" in source
+        assert "#undef x" in source
         assert "void repro_step(const word *V, word *OUT)" in source
-        assert "void repro_dump_state(word *S)" in source
-        assert "void repro_load_state(const word *S)" in source
+        assert "void repro_dump_state(word *dst)" in source
+        assert "void repro_load_state(const word *src)" in source
 
 
 def _random_program(seed: int, word_width: int) -> Program:
@@ -166,7 +170,7 @@ def test_backend_parity_state_roundtrip():
     program = _random_program(99, 32)
     py = compile_program(program, "python")
     cc = compile_program(program, "c")
-    state = [0xDEADBEEF % (1 << 32)] * 6
+    state = [0xDEADBEEF % (1 << 32)] * py.num_state
     py.load_state(state)
     cc.load_state(state)
     assert py.dump_state() == cc.dump_state() == [s & 0xFFFFFFFF for s in state]
@@ -176,23 +180,26 @@ def test_backend_parity_state_roundtrip():
 #: 8-bit ripple-carry adder.  The program cache keys on these bytes,
 #: so any emitter change that alters them recompiles every cached
 #: artifact; update the table only for an intended emitter change.
+#: (Last re-pinned when the emitters started keeping only the carried
+#: state between passes; the observing copies of the same programs are
+#: pinned by ``OBSERVABLE_PYTHON_DIGESTS`` below.)
 GOLDEN_DIGESTS = {
     ("zero-lcc", "c"):
-        "2d4ea53ef1bd75fe8297b402976579676e9fb1be3504ff18a76408184cc39048",
+        "e89107da8f3090f6dbe39c03bd94970ad12de5226a9feb7a12921d381d3787f9",
     ("zero-lcc", "python"):
-        "a74d95066e14256fafbeed065371a61215a765c5f1ecf06791ec7b88f7a52930",
+        "55c784e878d61b5f12a4ad897e987546bf6a9b4ab29f4f88d2c2dde9c9b8b985",
     ("pcset", "c"):
-        "87e51b0c4ce3055d0e0f6565d1ab06e5bf05eb5a98788c81f7dd8de526a8f2b6",
+        "38de106cfa2cc660be62dc68f12a8ec9636903bc1ce8b1d3913b3d3c84209216",
     ("pcset", "python"):
-        "507de0f3867269176cb60faea6c8b14c4c3ab89d1c2a62e22781ff274a5b4a92",
+        "f816cf9098d80c1ae53d91e140ed95ff802086eef913b0366fa5bd9d841b0e12",
     ("parallel-best", "c"):
-        "19782f8b041b3dd70fb7b663b4768ecb3abd96b380cf2adeed43a37f0e8bf494",
+        "3099a187e44b26bb7cc9ab6a86cc061fa85e0c0997a8b31efccd103ba2834be4",
     ("parallel-best", "python"):
-        "761a0abf1bac06934c246338bad8a072d544e35dbdb8e1e19070d4b22542fa66",
+        "557d5319429588449c5f43050b44b8d672e6f9dffcb1822c379fffca75cfd3c5",
     ("fault-pcset", "c"):
-        "bc9ab26146001623f3ff4774c425438fc8cab9a1ac76a96d1496e934757263c7",
+        "eaf44f23e3a2d8860dcfb680e244af991449607fafc656cbaf8b9a4904032115",
     ("fault-pcset", "python"):
-        "463ec1f688a63655c717e15ab99dfd6d26d1f64afdc055a235ff55b551bbb80d",
+        "1481b5035d073391c92c8712af6138342173519991872940c106b8d68acd3f8d",
 }
 
 
@@ -218,3 +225,69 @@ def test_emitted_source_matches_golden_digest(name, language):
     )
     digest = hashlib.sha256(source.encode()).hexdigest()
     assert digest == GOLDEN_DIGESTS[(name, language)]
+
+
+#: sha256 of the Python source of the rca8 programs'
+#: :meth:`Program.observable` copies.  Keeping every state variable,
+#: the observing Python machine is byte-identical to the emission
+#: that kept them all before the carried set existed.
+OBSERVABLE_PYTHON_DIGESTS = {
+    "zero-lcc":
+        "a74d95066e14256fafbeed065371a61215a765c5f1ecf06791ec7b88f7a52930",
+    "pcset":
+        "507de0f3867269176cb60faea6c8b14c4c3ab89d1c2a62e22781ff274a5b4a92",
+    "parallel-best":
+        "761a0abf1bac06934c246338bad8a072d544e35dbdb8e1e19070d4b22542fa66",
+    "fault-pcset":
+        "463ec1f688a63655c717e15ab99dfd6d26d1f64afdc055a235ff55b551bbb80d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVABLE_PYTHON_DIGESTS))
+def test_observable_python_source_matches_golden_digest(name):
+    import hashlib
+
+    source = _golden_program(name).observable().python_source()
+    digest = hashlib.sha256(source.encode()).hexdigest()
+    assert digest == OBSERVABLE_PYTHON_DIGESTS[name]
+
+
+def _file_scope_words(source: str) -> list[str]:
+    """Declarations of ``word`` data outside every function."""
+    return [
+        line for line in source.splitlines()
+        if re.match(r"(static\s+)?word\b", line)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVABLE_PYTHON_DIGESTS))
+def test_only_the_carried_array_is_file_scope(name):
+    program = _golden_program(name)
+    carried = program.carried()
+    declared = _file_scope_words(program.c_source())
+    assert len(declared) == 1
+    assert declared[0].startswith(f"static word S[{max(1, len(carried))}]")
+    # The pass reads and writes the carried words in place, and
+    # declares every other variable as a local.
+    source = program.c_source()
+    for k, name_ in enumerate(carried):
+        assert f"#define {name_} S[{k}]\n" in source
+    locals_ = re.search(r"\n    word ([^;]*);", source)
+    declared_locals = set(locals_.group(1).split(", ")) if locals_ else set()
+    assert not declared_locals & set(carried)
+    assert declared_locals == (
+        set(program.state_vars) - set(carried)
+    ) | set(program.temp_vars)
+
+
+@NEED_CC
+@pytest.mark.parametrize("name", sorted(OBSERVABLE_PYTHON_DIGESTS))
+def test_num_state_export_is_the_carried_count(name):
+    program = _golden_program(name)
+    with compile_program(program, "c", use_cache=False) as machine:
+        assert machine._lib.repro_num_state() == len(program.carried())
+        assert machine.num_state == len(program.carried())
+    observed = program.observable()
+    with compile_program(observed, "c", use_cache=False) as machine:
+        assert machine._lib.repro_num_state() == len(program.state_vars)
+

@@ -37,7 +37,7 @@ class TestSlidingMaskTrace:
             words.extend(
                 [fill] * layout.field(net_name).num_words
             )
-        machine.load_state(words)
+        machine.load_state(machine.gather_state(words))
 
         reference = EventDrivenSimulator(circuit)
         reference.reset(initial)
@@ -66,7 +66,7 @@ class TestAlignedBitsMode:
         for net_name in circuit.nets:
             fill = (-(settled[net_name] & 1)) & program.word_mask
             words.extend([fill] * layout.field(net_name).num_words)
-        machine.load_state(words)
+        machine.load_state(machine.gather_state(words))
 
         reference = EventDrivenSimulator(circuit)
         reference.reset(initial)

@@ -161,3 +161,68 @@ class TestInputSlotValidation:
         p.declare("x")
         p.body.append(Assign("x", Bin("&", Input(0), Input(1))))
         p.validate()
+
+
+class TestCarriedSet:
+    """``Program.carried``: the state a pass reads before writing it."""
+
+    @staticmethod
+    def _program() -> Program:
+        p = Program("carry", word_width=8, inputs=["A"])
+        for name in ("acc", "konst", "scratch", "late", "unused"):
+            p.declare(name)
+        p.declare_temp("t")
+        p.init.append(Assign("t", Input(0)))
+        # Read before written: the previous pass's value.
+        p.body.append(Assign("acc", Bin("^", Var("acc"), Var("t"))))
+        # Only ever read: a constant net's variable.
+        p.body.append(Assign("scratch", Bin("&", Var("konst"), Var("t"))))
+        # Written in the body, then read by the output section.
+        p.body.append(Assign("late", Un("~", Var("scratch"))))
+        p.output.append(Emit(Var("late"), ("late",)))
+        return p
+
+    def test_read_before_write_is_carried(self):
+        assert "acc" in self._program().carried()
+
+    def test_read_only_state_is_carried(self):
+        assert "konst" in self._program().carried()
+
+    def test_temps_are_never_carried(self):
+        p = self._program()
+        assert "t" not in p.carried()
+        # Even a temp read first in a later pass position stays out.
+        p.output.append(Emit(Var("t"), ("t",)))
+        assert "t" not in p.carried()
+
+    def test_written_before_output_reads_it_is_not_carried(self):
+        carried = self._program().carried()
+        assert "late" not in carried
+        assert "scratch" not in carried
+        assert "unused" not in carried
+
+    def test_state_vars_order(self):
+        p = self._program()
+        assert p.carried() == ["acc", "konst"]
+        assert p.persistent == ["acc", "konst"]
+
+    def test_observable_keeps_every_state_variable(self):
+        p = self._program()
+        observed = p.observable()
+        assert observed.persistent == p.state_vars
+        assert observed.carried() == p.carried()
+        assert observed.name == p.name
+        # The copy widens the layout only; the original keeps its own.
+        assert p.persistent == ["acc", "konst"]
+        assert observed.without_output().persistent == p.state_vars
+        # Without outputs the state is all a pass produces.
+        assert p.without_output().persistent == p.state_vars
+
+    def test_interface_state_layout(self):
+        interface = self._program().interface()
+        assert interface.state_names == ["acc", "konst"]
+        assert interface.state_slots == [0, 1]
+        assert interface.state_words == 2
+        observed = self._program().observable().interface()
+        assert observed.state_slots == [0, 1, 2, 3, 4]
+        assert observed.state_position[3] == 3

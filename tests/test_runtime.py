@@ -516,4 +516,6 @@ def test_standalone_artifact_matches_in_process(tmp_path, technique):
         capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, (child.returncode, child.stderr)
+    # The state both sides dump is the carried set alone.
+    assert len(state) == len(program.carried())
     assert json.loads(child.stdout) == {"out": out, "state": state}
